@@ -7,7 +7,8 @@ Two families live here:
   :mod:`repro.analysis.exascale`);
 * **static analysis** — the plan verifier
   (:mod:`repro.analysis.verify`, rules ``PV1xx``) and the
-  determinism/unit lint (:mod:`repro.analysis.lint`, rules ``L2xx``),
+  determinism/concurrency/unit lint (:mod:`repro.analysis.lint`,
+  rules ``L2xx``/``L3xx``),
   both reporting :class:`~repro.analysis.violations.Violation` records.
 """
 
@@ -19,16 +20,7 @@ from .exascale import (
     memory_per_core_factor,
     projection_table,
 )
-from .lint import (
-    LINT_RULES,
-    RESTRICTED_PACKAGES,
-    BaselineEntry,
-    apply_baseline,
-    lint_file,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from .lint import LINT_RULES, RESTRICTED_PACKAGES, lint_file, lint_paths
 from .sarif import to_sarif
 from .model import (
     CollectivePrediction,
@@ -75,9 +67,5 @@ __all__ = [
     "lint_paths",
     "LINT_RULES",
     "RESTRICTED_PACKAGES",
-    "BaselineEntry",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
     "to_sarif",
 ]

@@ -1,14 +1,14 @@
 """A small intraprocedural dataflow framework for the L3xx lint rules.
 
-The per-node AST lint (:mod:`repro.analysis.lint`, L200-L205) cannot
-see across assignments: ``fut = pool.submit(job); fut.result()`` looks
-like two innocent calls.  This module adds the three pieces the
-flow-sensitive rule families need:
+A single-expression check cannot see across assignments:
+``fut = pool.submit(job); fut.result()`` looks like two innocent calls.
+This module adds the pieces the lint rules (:mod:`repro.analysis.lint`)
+share:
 
 * :class:`ModuleContext` — per-module symbol information: the import
   alias table (``np`` → ``numpy``, ``sleep`` → ``time.sleep``), the
-  package the module belongs to (for rule scoping), module-level
-  constants, and module-level mutable bindings;
+  package-scoping test, module-level constants, and module-level
+  mutable bindings;
 * :func:`collect_functions` — every function/method/nested function in
   a module with its qualified name and (lazily built) CFG;
 * :func:`fixpoint` — a forward worklist solver over a
@@ -18,9 +18,9 @@ flow-sensitive rule families need:
   with emission enabled so findings are reported exactly once, under
   the fixpoint's states.
 
-Rules subclass :class:`FlowRule` and are orchestrated by
-:func:`run_flow_rules`; the lint front end owns suppression comments,
-severity, and baseline handling.
+Every lint rule subclasses :class:`FlowRule` and is orchestrated by
+:func:`run_flow_rules`; the lint front end owns suppression comments
+and rule selection.
 
 States must be *values* (compared with ``==``) drawn from a finite
 lattice per variable — the rules here use small enums and frozensets,
@@ -106,9 +106,10 @@ _MUTABLE_CALLS = frozenset(
 class ModuleContext:
     """Symbol/alias information for one module under analysis.
 
-    ``package`` is the sub-package of ``repro`` the module lives in
-    (``"serve"``, ``"core"``, ...) or the module stem for top-level
-    modules (``"client"``, ``"cli"``); rules use it for scoping.
+    ``package`` is the first path component below the lint root (or
+    the module stem for top-level modules); it resolves relative
+    imports. Rule scoping uses :meth:`in_packages`, which does not
+    depend on the root.
     """
 
     rel_path: str
@@ -173,6 +174,14 @@ class ModuleContext:
             qual = self.qualified(value.func)
             if qual in _MUTABLE_CALLS:
                 self.mutable_globals[name] = lineno
+
+    def in_packages(self, packages: frozenset[str]) -> bool:
+        """Whether any directory component or the module stem names one
+        of ``packages`` — ``core/a.py`` and ``src/repro/core/a.py``,
+        ``client.py`` and ``repro/client.py`` scope alike."""
+        *dirs, leaf = (p for p in self.rel_path.replace("\\", "/").split("/") if p)
+        stem = leaf[:-3] if leaf.endswith(".py") else leaf
+        return any(part in packages for part in (*dirs, stem))
 
     # ------------------------------------------------------------- resolution
     def qualified(self, node: ast.expr) -> str | None:
@@ -327,11 +336,12 @@ def emit_pass(
 
 
 class FlowRule:
-    """Base class for the flow-sensitive rule families.
+    """Base class for every lint rule.
 
-    Subclasses fill :attr:`codes` (rule id → one-line description) and
-    override :meth:`check_module` and/or :meth:`check_function`.
-    ``relevant`` scopes the whole rule to a set of packages.
+    Subclasses fill :attr:`codes` (rule id → one-line description, the
+    ``repro lint --rules`` catalog) and override :meth:`check_module`
+    and/or :meth:`check_function`. ``relevant`` scopes the whole rule
+    to :attr:`packages` via :meth:`ModuleContext.in_packages`.
     """
 
     codes: dict[str, str] = {}
@@ -342,7 +352,7 @@ class FlowRule:
     module_body: bool = True
 
     def relevant(self, ctx: ModuleContext) -> bool:
-        return self.packages is None or ctx.package in self.packages
+        return self.packages is None or ctx.in_packages(self.packages)
 
     def check_module(self, ctx: ModuleContext, tree: ast.Module, emit: Emit) -> None:
         """Module-level checks (runs once per module)."""

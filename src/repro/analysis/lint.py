@@ -7,26 +7,23 @@ rules no general-purpose linter knows about; this pass enforces them
 over the source tree with Python's :mod:`ast` — no third-party
 dependency, so it runs in tier-1 tests and CI alike.
 
-Two engines share the front end:
-
-* per-node AST checks (the L20x family) for properties visible in a
-  single expression;
-* the flow-sensitive engine (:mod:`repro.analysis.flow`, the L3xx
-  families) for properties that cross assignments — a CFG per
-  function, forward abstract interpretation, per-rule lattices.
+Every rule is a :class:`~repro.analysis.flow.FlowRule`: the
+single-expression L20x checks below use ``check_module``, the
+flow-sensitive L3xx families (:mod:`repro.analysis.flow`) add a CFG per
+function, forward abstract interpretation and per-rule lattices. A
+rule scoped to packages applies when any directory component of the
+file's path, or the module stem, names one of them, so findings do not
+depend on the directory the lint is rooted at.
 
 ========  ==========================================================
 rule      what it catches
 ========  ==========================================================
 L200      file does not parse (reported, never raised)
-L201      *(deprecated — subsumed by L310's taint analysis; the code
-          is retained so old suppression comments stay meaningful)*
 L202      wall-clock reads (``time.time``, ``datetime.now``, ...)
           in the deterministic packages; simulated time comes from
           the engine clock, host profiling belongs outside.  Serve
           metrics timestamps are the documented exception — allowed
           via ``# repro-lint: disable=L202`` at the read site
-L203      *(deprecated — subsumed by L320's dimension propagation)*
 L204      ``object.__setattr__`` on a frozen spec outside
           ``__post_init__`` — silent spec mutation breaks the
           spec-hash identity the plan cache keys on
@@ -41,69 +38,36 @@ L301      module-level mutable state written from function scope in
 L302      second lock acquired while one is held, unless ordered by
           ascending shard index
 L310      RNG whose seed does not trace to SeedSequence/spec fields
-          (flow-sensitive successor of L201)
 L320      arithmetic/comparison/bind across unit dimensions — bytes,
           MiB-family counts, byte rates, seconds, µs, ranks
-          (flow-sensitive successor of L203)
 ========  ==========================================================
 
-Suppress a finding by appending ``# repro-lint: disable=L203`` to the
+Suppress a finding by appending ``# repro-lint: disable=L202`` to the
 flagged line — comma lists (``disable=L202,L310``), family wildcards
 (``disable=L3xx``), and ``disable=all`` are understood. Suppressions
-are deliberate and grep-able, exactly like ``noqa``.
-
-The committed ``lint-baseline.json`` ratchet lets pre-existing
-findings ride while new ones fail: :func:`apply_baseline` splits a
-report into fresh findings (fail), grandfathered ones (allowed, still
-reported to SARIF with a suppression justification), and stale budget
-(the finding was fixed but the baseline was not counted down — also a
-failure, so the baseline only ever shrinks).
+are deliberate and grep-able, exactly like ``noqa``. Any finding fails
+``repro lint``; there is no baseline of tolerated findings.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
-from .flow import ModuleContext, run_flow_rules
+from ..util.errors import ConfigurationError
+from .flow import Emit, FlowRule, ModuleContext, dotted_parts, run_flow_rules
 from .rules_concurrency import AsyncBlockingRule, LockOrderRule, SharedStateRule
 from .rules_determinism import DeterminismTaintRule
 from .rules_units import UnitDimensionRule
 from .violations import Report, Violation
 
-__all__ = [
-    "LINT_RULES",
-    "RESTRICTED_PACKAGES",
-    "BaselineEntry",
-    "apply_baseline",
-    "lint_file",
-    "lint_paths",
-    "load_baseline",
-    "write_baseline",
-]
-
-#: rule code -> one-line description (rendered by ``repro lint --rules``)
-LINT_RULES: dict[str, str] = {
-    "L200": "file does not parse",
-    "L201": "unseeded RNG use (deprecated — replaced by L310 taint analysis)",
-    "L202": "wall-clock read (time.time/datetime.now) in deterministic packages",
-    "L203": "bytes-vs-MiB unit mixing (deprecated — replaced by L320 dimensions)",
-    "L204": "object.__setattr__ on frozen spec outside __post_init__",
-    "L205": "simulator .run() without a bounded horizon",
-    "L300": "blocking call inside an async def body (serve/client)",
-    "L301": "module-level mutable state written from campaign/serve functions",
-    "L302": "nested lock acquire not ordered by shard index",
-    "L310": "RNG seed does not trace to SeedSequence/spec fields",
-    "L320": "arithmetic/comparison/bind across unit dimensions",
-}
+__all__ = ["LINT_RULES", "RESTRICTED_PACKAGES", "lint_file", "lint_paths"]
 
 #: packages whose results must be a pure function of the experiment spec
 #: (the original deterministic core, plus the service/campaign layers —
-#: top-level modules like ``client.py`` match by module stem)
+#: modules like ``client.py`` match by module stem)
 RESTRICTED_PACKAGES = frozenset(
     {"core", "io", "sim", "faults", "serve", "client", "campaign", "cluster"}
 )
@@ -112,27 +76,6 @@ _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
 
 _WALLCLOCK_TIME = frozenset({"time", "time_ns"})
 _WALLCLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
-
-#: the flow-sensitive rule families (stateless — safe to share)
-_FLOW_RULES = (
-    AsyncBlockingRule(),
-    SharedStateRule(),
-    LockOrderRule(),
-    DeterminismTaintRule(),
-    UnitDimensionRule(),
-)
-
-
-def _dotted(node: ast.expr) -> tuple[str, ...] | None:
-    """``a.b.c`` as ``("a", "b", "c")``; None for non-name chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
 
 
 def _token_matches(token: str, rule: str) -> bool:
@@ -164,101 +107,109 @@ def _suppressed(lines: list[str], line: int, rule: str) -> bool:
     return any(_token_matches(tok, rule) for tok in match.group(1).split(","))
 
 
-class _FileLinter(ast.NodeVisitor):
-    """Collects per-node (L20x) violations for one parsed source file."""
+class CallRule(FlowRule):
+    """The rules visible in a single call expression (L202/L204/L205)."""
 
-    def __init__(self, rel_path: str, lines: list[str], restricted: bool) -> None:
-        self.rel_path = rel_path
-        self.lines = lines
-        self.restricted = restricted
-        self.violations: list[Violation] = []
-        self._func_stack: list[str] = []
+    codes = {
+        "L202": "wall-clock read (time.time/datetime.now) in deterministic "
+        "packages",
+        "L204": "object.__setattr__ on frozen spec outside __post_init__",
+        "L205": "simulator .run() without a bounded horizon",
+    }
 
-    # ------------------------------------------------------------ helpers
-    def _flag(self, rule: str, node: ast.AST, message: str, **detail: object) -> None:
-        line = getattr(node, "lineno", 0)
-        if _suppressed(self.lines, line, rule):
-            return
-        self.violations.append(
-            Violation(
-                rule=rule,
-                message=message,
-                file=self.rel_path,
-                line=line,
-                detail=dict(detail),
-            )
+    def check_module(self, ctx: ModuleContext, tree: ast.Module, emit: Emit) -> None:
+        wallclock = ctx.in_packages(RESTRICTED_PACKAGES)
+        for node, enclosing in _calls_by_function(tree, "<module>"):
+            chain = dotted_parts(node.func)
+            if chain is None:
+                continue
+            if wallclock:
+                _check_wallclock(node, chain, emit)
+            _check_setattr(node, chain, enclosing, emit)
+            _check_sim_run(node, chain, emit)
+
+
+def _calls_by_function(
+    node: ast.AST, enclosing: str
+) -> Iterator[tuple[ast.Call, str]]:
+    """Every call under ``node`` (pre-order) with its enclosing def's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield child, enclosing
+        yield from _calls_by_function(child, enclosing)
+
+
+def _check_wallclock(node: ast.Call, chain: tuple[str, ...], emit: Emit) -> None:
+    is_time = chain[0] == "time" and chain[-1] in _WALLCLOCK_TIME
+    is_datetime = chain[-1] in _WALLCLOCK_DATETIME and any(
+        part in ("datetime", "date") for part in chain[:-1]
+    )
+    if is_time or is_datetime:
+        emit(
+            "L202", node.lineno,
+            f"{'.'.join(chain)}() reads the host wall clock inside a "
+            "deterministic package; use the engine's simulated clock",
+            call=".".join(chain),
         )
 
-    # ----------------------------------------------------------- visitors
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._func_stack.append(node.name)
-        self.generic_visit(node)
-        self._func_stack.pop()
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._func_stack.append(node.name)
-        self.generic_visit(node)
-        self._func_stack.pop()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        chain = _dotted(node.func)
-        if chain is not None:
-            if self.restricted:
-                self._check_wallclock(node, chain)
-            self._check_setattr(node, chain)
-            self._check_sim_run(node, chain)
-        self.generic_visit(node)
-
-    def _check_wallclock(self, node: ast.Call, chain: tuple[str, ...]) -> None:
-        is_time = chain[0] == "time" and chain[-1] in _WALLCLOCK_TIME
-        is_datetime = chain[-1] in _WALLCLOCK_DATETIME and any(
-            part in ("datetime", "date") for part in chain[:-1]
+def _check_setattr(
+    node: ast.Call, chain: tuple[str, ...], enclosing: str, emit: Emit
+) -> None:
+    if chain == ("object", "__setattr__") and enclosing != "__post_init__":
+        emit(
+            "L204", node.lineno,
+            f"object.__setattr__ in {enclosing}() mutates a frozen spec "
+            "after construction; frozen specs may only self-adjust in "
+            "__post_init__",
+            function=enclosing,
         )
-        if is_time or is_datetime:
-            self._flag(
-                "L202", node,
-                f"{'.'.join(chain)}() reads the host wall clock inside a "
-                "deterministic package; use the engine's simulated clock",
-                call=".".join(chain),
-            )
 
-    def _check_setattr(self, node: ast.Call, chain: tuple[str, ...]) -> None:
-        if chain != ("object", "__setattr__"):
-            return
-        enclosing = self._func_stack[-1] if self._func_stack else "<module>"
-        if enclosing != "__post_init__":
-            self._flag(
-                "L204", node,
-                f"object.__setattr__ in {enclosing}() mutates a frozen spec "
-                "after construction; frozen specs may only self-adjust in "
-                "__post_init__",
-                function=enclosing,
-            )
 
-    def _check_sim_run(self, node: ast.Call, chain: tuple[str, ...]) -> None:
-        if chain[-1] != "run" or len(chain) < 2:
-            return
-        receiver = chain[-2]
-        if receiver not in ("sim", "simulator"):
-            return
-        has_horizon = bool(node.args) or any(
-            kw.arg == "until" for kw in node.keywords
+def _check_sim_run(node: ast.Call, chain: tuple[str, ...], emit: Emit) -> None:
+    if chain[-1] != "run" or len(chain) < 2 or chain[-2] not in ("sim", "simulator"):
+        return
+    has_horizon = bool(node.args) or any(kw.arg == "until" for kw in node.keywords)
+    if not has_horizon:
+        emit(
+            "L205", node.lineno,
+            f"{'.'.join(chain)}() drains the event queue with no horizon; "
+            "pass until=<clamped horizon>",
         )
-        if not has_horizon:
-            self._flag(
-                "L205", node,
-                f"{'.'.join(chain)}() drains the event queue with no horizon; "
-                "pass until=<clamped horizon>",
-            )
 
 
-def _is_restricted(rel_parts: tuple[str, ...]) -> bool:
-    if any(part in RESTRICTED_PACKAGES for part in rel_parts[:-1]):
-        return True
-    # Top-level modules (client.py) carry their own package identity.
-    stem = rel_parts[-1]
-    stem = stem[:-3] if stem.endswith(".py") else stem
-    return len(rel_parts) == 1 and stem in RESTRICTED_PACKAGES
+#: every rule (stateless — safe to share)
+_RULES: tuple[FlowRule, ...] = (
+    CallRule(),
+    AsyncBlockingRule(),
+    SharedStateRule(),
+    LockOrderRule(),
+    DeterminismTaintRule(),
+    UnitDimensionRule(),
+)
+
+#: rule code -> one-line description (rendered by ``repro lint --rules``)
+LINT_RULES: dict[str, str] = {
+    "L200": "file does not parse",
+    **{code: text for rule in _RULES for code, text in rule.codes.items()},
+}
+
+
+def _selection(rules: Iterable[str] | None) -> frozenset[str] | None:
+    """``rules`` upper-cased and checked against :data:`LINT_RULES`."""
+    if rules is None:
+        return None
+    selected = frozenset(r.strip().upper() for r in rules if r.strip())
+    unknown = sorted(selected - LINT_RULES.keys())
+    if unknown:
+        raise ConfigurationError(
+            f"unknown lint rule code(s) {', '.join(unknown)}; "
+            "`repro lint --rules` lists the codes"
+        )
+    return selected
 
 
 def lint_file(
@@ -267,7 +218,12 @@ def lint_file(
     root: str | Path | None = None,
     rules: Iterable[str] | None = None,
 ) -> list[Violation]:
-    """Lint one file; returns its violations (possibly empty)."""
+    """Lint one file; returns its violations (possibly empty).
+
+    ``rules`` selects codes (case-insensitive); an unknown code raises
+    :class:`~repro.util.errors.ConfigurationError`.
+    """
+    selected = _selection(rules)
     path = Path(path)
     root = Path(root) if root is not None else path.parent
     try:
@@ -287,13 +243,7 @@ def lint_file(
             )
         ]
     lines = source.splitlines()
-    restricted = _is_restricted(rel.parts)
-    linter = _FileLinter(str(rel), lines, restricted)
-    linter.visit(tree)
-    out = linter.violations
-    # Flow rules scope themselves by package via FlowRule.packages;
-    # L320 runs everywhere, matching the old L203.
-    ctx = ModuleContext.from_tree(tree, str(rel))
+    out: list[Violation] = []
 
     def emit(rule: str, line: int, message: str, **detail: object) -> None:
         if _suppressed(lines, line, rule):
@@ -308,9 +258,8 @@ def lint_file(
             )
         )
 
-    run_flow_rules(tree, ctx, _FLOW_RULES, emit)
-    if rules is not None:
-        selected = {r.upper() for r in rules}
+    run_flow_rules(tree, ModuleContext.from_tree(tree, str(rel)), _RULES, emit)
+    if selected is not None:
         out = [v for v in out if v.rule in selected]
     return sorted(out, key=lambda v: (v.file or "", v.line or 0, v.rule))
 
@@ -322,11 +271,12 @@ def lint_paths(
 ) -> Report:
     """Lint every ``.py`` file under ``paths``; returns one Report.
 
-    Each directory argument is scanned recursively and acts as the
-    root for both display paths and restricted-package detection, so
-    ``lint_paths(["src/repro"])`` treats ``src/repro/core/...`` as the
-    deterministic ``core`` package.
+    Each directory argument is scanned recursively and is the root
+    for display paths. Package scoping reads every directory component
+    below it, so ``lint_paths(["src"])`` and ``lint_paths(["src/repro"])``
+    both treat ``.../core/...`` as the deterministic ``core`` package.
     """
+    _selection(rules)  # reject unknown codes before scanning anything
     report = Report(subject=", ".join(str(p) for p in paths))
     for base in paths:
         base = Path(base)
@@ -342,104 +292,3 @@ def lint_paths(
             for violation in lint_file(file, root=root, rules=rules):
                 report.add(violation)
     return report
-
-
-# --------------------------------------------------------------- baseline
-
-@dataclass(slots=True)
-class BaselineEntry:
-    """A grandfathered (rule, file) budget with its justification."""
-
-    rule: str
-    file: str
-    count: int
-    reason: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "file": self.file,
-            "count": self.count,
-            "reason": self.reason,
-        }
-
-
-def load_baseline(path: str | Path) -> list[BaselineEntry]:
-    """Read ``lint-baseline.json``; a missing file is an empty baseline."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    payload = json.loads(path.read_text())
-    entries = payload.get("entries", []) if isinstance(payload, dict) else []
-    out: list[BaselineEntry] = []
-    for raw in entries:
-        out.append(
-            BaselineEntry(
-                rule=str(raw["rule"]),
-                file=str(raw["file"]),
-                count=int(raw.get("count", 1)),
-                reason=str(raw.get("reason", "grandfathered")),
-            )
-        )
-    return out
-
-
-def apply_baseline(
-    violations: Sequence[Violation],
-    baseline: Sequence[BaselineEntry],
-) -> tuple[list[Violation], list[tuple[Violation, str]], list[BaselineEntry]]:
-    """Split findings into (fresh, grandfathered+reason, stale budget).
-
-    Budgets are per ``(rule, file)``: the first ``count`` findings of a
-    budgeted pair are grandfathered, anything beyond is fresh (fails),
-    and unused budget is stale — the finding was fixed, so the baseline
-    must be counted down for the ratchet to hold.
-    """
-    budgets: dict[tuple[str, str], int] = {}
-    reasons: dict[tuple[str, str], str] = {}
-    for entry in baseline:
-        key = (entry.rule, entry.file)
-        budgets[key] = budgets.get(key, 0) + entry.count
-        reasons.setdefault(key, entry.reason)
-    fresh: list[Violation] = []
-    grandfathered: list[tuple[Violation, str]] = []
-    for violation in violations:
-        key = (violation.rule, violation.file or "")
-        if budgets.get(key, 0) > 0:
-            budgets[key] -= 1
-            grandfathered.append((violation, reasons.get(key, "grandfathered")))
-        else:
-            fresh.append(violation)
-    stale = [
-        BaselineEntry(rule=rule, file=file, count=count,
-                      reason=reasons.get((rule, file), "grandfathered"))
-        for (rule, file), count in sorted(budgets.items())
-        if count > 0
-    ]
-    return fresh, grandfathered, stale
-
-
-def write_baseline(
-    path: str | Path,
-    violations: Sequence[Violation],
-    *,
-    previous: Sequence[BaselineEntry] = (),
-) -> list[BaselineEntry]:
-    """Rewrite the baseline from current findings, keeping old reasons."""
-    reasons = {(e.rule, e.file): e.reason for e in previous}
-    counts: dict[tuple[str, str], int] = {}
-    for violation in violations:
-        key = (violation.rule, violation.file or "")
-        counts[key] = counts.get(key, 0) + 1
-    entries = [
-        BaselineEntry(
-            rule=rule,
-            file=file,
-            count=count,
-            reason=reasons.get((rule, file), "grandfathered pending fix"),
-        )
-        for (rule, file), count in sorted(counts.items())
-    ]
-    payload = {"version": 1, "entries": [e.to_dict() for e in entries]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return entries

@@ -143,7 +143,7 @@ def _lock_token(expr: ast.expr) -> _Token | None:
 class AsyncBlockingRule(FlowRule):
     """L300: blocking calls reachable inside ``async def`` bodies."""
 
-    codes = {"L300": "blocking call inside an async def body"}
+    codes = {"L300": "blocking call inside an async def body (serve/client)"}
     packages = frozenset({"serve", "client"})
 
     def check_function(
@@ -299,7 +299,7 @@ class SharedStateRule(FlowRule):
 
     codes = {
         "L301": "module-level mutable state written from campaign/serve "
-        "function scope"
+        "functions"
     }
     packages = frozenset({"campaign", "serve"})
     module_body = False  # module-scope initialization is the legal write
@@ -408,10 +408,7 @@ class SharedStateRule(FlowRule):
 class LockOrderRule(FlowRule):
     """L302: nested lock acquisition without shard-index ordering."""
 
-    codes = {
-        "L302": "second lock acquired while one is held, not ordered by "
-        "shard index"
-    }
+    codes = {"L302": "nested lock acquire not ordered by shard index"}
 
     def check_function(
         self, ctx: ModuleContext, unit: FunctionUnit, emit: Emit

@@ -1,6 +1,6 @@
 """L310: determinism taint — every RNG seed must trace to a spec field.
 
-Replaces the L201 name-match heuristic with a real taint analysis.
+A taint analysis, not a name match.
 Campaign replays, fault injection, and the simulator all promise
 bit-identical reruns; that promise holds only if every random stream
 is seeded from :class:`numpy.random.SeedSequence` material or a spec
@@ -28,7 +28,7 @@ It then flags, in ``core``/``io``/``sim``/``faults``/``campaign``:
 
 Because the analysis is flow-sensitive, ``seq = SeedSequence(spec.seed);
 rng = default_rng(seq)`` is clean across the assignment — exactly the
-case the old L201 could not express.
+case a single-expression name match cannot express.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ _RNG_CONSTRUCTORS = frozenset(
 )
 
 #: numpy.random attributes that are deterministic machinery, not the
-#: hidden global stream (mirrors the old L201 allowlist)
+#: hidden global stream
 _NP_RANDOM_OK = frozenset(
     {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64",
      "Philox", "RandomState"}
@@ -124,10 +124,7 @@ def _rngish(name: str) -> bool:
 class DeterminismTaintRule(FlowRule):
     """L310: RNG seeds must derive from SeedSequence/spec fields."""
 
-    codes = {
-        "L310": "RNG seeded from untracked or entropy-derived material "
-        "(seeds must trace to SeedSequence/spec fields)"
-    }
+    codes = {"L310": "RNG seed does not trace to SeedSequence/spec fields"}
     packages = frozenset({"core", "io", "sim", "faults", "campaign"})
 
     def check_function(

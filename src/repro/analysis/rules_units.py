@@ -1,8 +1,7 @@
 """L320: unit-dimension propagation — bytes, MiB, rates, time, ranks.
 
-Replaces the single-expression L203 check with a dimension lattice
-propagated through assignments and arithmetic.  Dimensions are
-assigned from three sources:
+A dimension lattice propagated through assignments and arithmetic.
+Dimensions are assigned from three sources:
 
 * **identifier suffixes** — ``*_bytes``, ``*_kib/_mib/_gib/_tib``,
   ``*_s/_sec/_secs/_seconds``, ``*_us``, ``*_per_s/_bps``,
@@ -32,7 +31,7 @@ expression                      result
 ``t_mib = <bytes-valued>``      **flags** (bind across dimensions)
 =============================  =======================================
 
-The old L203 examples still fire — ``cap_mib = mib(4)``,
+Single-expression mixes fire — ``cap_mib = mib(4)``,
 ``a_bytes + b_mib`` — but now also across assignments:
 ``size = buf_bytes`` then ``size + quota_mib`` flags, which the
 per-expression check could not see.
@@ -117,11 +116,7 @@ def _terminal(node: ast.expr) -> str | None:
 class UnitDimensionRule(FlowRule):
     """L320: cross-dimension arithmetic/comparison over tracked units."""
 
-    codes = {
-        "L320": "arithmetic/comparison/bind across unit dimensions "
-        "(bytes vs MiB vs rate vs time vs ranks)"
-    }
-    packages = None  # applies everywhere, like the old L203
+    codes = {"L320": "arithmetic/comparison/bind across unit dimensions"}
 
     def check_function(
         self, ctx: ModuleContext, unit: FunctionUnit, emit: Emit

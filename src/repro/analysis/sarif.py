@@ -2,10 +2,8 @@
 
 GitHub code scanning ingests SARIF; emitting it from ``repro lint
 --format sarif`` puts the L-series findings in the PR review UI next
-to CodeQL's. Grandfathered findings (see the baseline ratchet in
-:mod:`repro.analysis.lint`) are included with a ``suppressions``
-entry carrying the baseline's justification, so they render as
-suppressed rather than vanish — the count-down stays visible.
+to CodeQL's. Findings silenced by a ``# repro-lint: disable=`` comment
+never reach the report, so every result here is a live finding.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ SARIF_VERSION = "2.1.0"
 _LEVELS = {"error": "error", "warning": "warning"}
 
 
-def _result(
-    violation: Violation, justification: str | None
-) -> dict[str, object]:
+def _result(violation: Violation) -> dict[str, object]:
     out: dict[str, object] = {
         "ruleId": violation.rule,
         "level": _LEVELS.get(violation.severity, "warning"),
@@ -46,27 +42,21 @@ def _result(
     }
     if violation.detail:
         out["properties"] = dict(violation.detail)
-    if justification is not None:
-        out["suppressions"] = [
-            {"kind": "external", "justification": justification}
-        ]
     return out
 
 
 def to_sarif(
-    fresh: Sequence[Violation],
-    grandfathered: Sequence[tuple[Violation, str]] = (),
+    violations: Sequence[Violation],
     *,
     rules: Mapping[str, str] | None = None,
     src_root: str = "src/repro/",
 ) -> dict[str, object]:
     """One SARIF run for a lint invocation.
 
-    ``fresh`` findings appear as plain results; ``grandfathered``
-    pairs ``(violation, reason)`` appear suppressed. ``rules`` maps
-    rule code to its one-line description for the tool metadata.
+    ``rules`` maps rule code to its one-line description for the tool
+    metadata.
     """
-    used = {v.rule for v in fresh} | {v.rule for v, _ in grandfathered}
+    used = {v.rule for v in violations}
     catalog = rules or {}
     rule_objs = [
         {
@@ -75,8 +65,7 @@ def to_sarif(
         }
         for code in sorted(used | set(catalog))
     ]
-    results = [_result(v, None) for v in fresh]
-    results.extend(_result(v, reason) for v, reason in grandfathered)
+    results = [_result(v) for v in violations]
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

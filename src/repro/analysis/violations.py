@@ -23,7 +23,7 @@ __all__ = ["Violation", "Report"]
 class Violation:
     """One rule firing at one location."""
 
-    rule: str  # "PV105", "L201", ...
+    rule: str  # "PV105", "L310", ...
     message: str
     severity: str = "error"  # "error" | "warning"
     file: str | None = None  # lint: repo-relative path

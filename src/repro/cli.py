@@ -17,8 +17,8 @@ Gives the library a shell-level surface for the common workflows:
 * ``check-plan`` — statically verify serialized collective plans (a
   ``*.plan.json`` file or a whole plan-cache directory) against the
   paper's invariants; non-zero exit on any violation;
-* ``lint``     — run the determinism/unit AST lint over the source tree;
-  non-zero exit on any violation;
+* ``lint``     — run the determinism/concurrency/unit AST lint over the
+  source tree; non-zero exit on any finding;
 * ``serve``    — run the planning daemon: HTTP on localhost and/or a
   Unix socket, sharded verified plan cache, request coalescing,
   admission control, ``/metrics`` telemetry.
@@ -425,14 +425,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism/unit lint over source paths."""
     import json
 
-    from .analysis import (
-        LINT_RULES,
-        apply_baseline,
-        lint_paths,
-        load_baseline,
-        to_sarif,
-        write_baseline,
-    )
+    from .analysis import LINT_RULES, lint_paths, to_sarif
 
     if args.rules:
         for code, summary in sorted(LINT_RULES.items()):
@@ -445,46 +438,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
         paths = [default if default.is_dir() else Path(__file__).parent]
     select = args.select.split(",") if args.select else None
     report = lint_paths(paths, rules=select)
-    baseline_path = Path(args.baseline)
-    previous = load_baseline(baseline_path)
-    if args.update_baseline:
-        entries = write_baseline(
-            baseline_path, report.violations, previous=previous
-        )
-        print(
-            f"wrote {baseline_path} with {len(entries)} grandfathered "
-            f"entr{'y' if len(entries) == 1 else 'ies'}"
-        )
-        return EXIT_OK
-    fresh, grandfathered, stale = apply_baseline(report.violations, previous)
     if args.format == "sarif":
-        print(json.dumps(to_sarif(fresh, grandfathered, rules=LINT_RULES)))
+        print(json.dumps(to_sarif(report.violations, rules=LINT_RULES)))
     elif args.format == "json":
-        payload = report.to_dict()
-        payload["fresh"] = [v.to_dict() for v in fresh]
-        payload["grandfathered"] = [
-            {**v.to_dict(), "baseline_reason": reason}
-            for v, reason in grandfathered
-        ]
-        payload["stale_baseline"] = [e.to_dict() for e in stale]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render())
-        if grandfathered:
-            print(
-                f"{len(grandfathered)} finding(s) grandfathered by "
-                f"{baseline_path}"
-            )
-    if stale:
-        for entry in stale:
-            print(
-                f"stale baseline budget: {entry.rule} in {entry.file} "
-                f"(x{entry.count}) — finding fixed, count the baseline down "
-                f"with --update-baseline",
-                file=sys.stderr,
-            )
-        return EXIT_FAILURE
-    return EXIT_OK if not fresh else EXIT_FAILURE
+    return EXIT_FAILURE if report.violations else EXIT_OK
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -712,18 +672,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", type=Path,
                    help="files or directories to lint (default: src/repro)")
     p.add_argument("--select",
-                   help="comma-separated rule codes to enable (default: all)")
+                   help="comma-separated rule codes to enable (default: "
+                        "all; an unknown code exits 3)")
     p.add_argument("--format", default="text",
                    choices=["text", "json", "sarif"],
                    help="report format (sarif feeds GitHub code scanning)")
     p.add_argument("--rules", action="store_true",
                    help="list the rule codes and exit")
-    p.add_argument("--baseline", default="lint-baseline.json",
-                   help="ratchet file of grandfathered findings "
-                        "(missing file = empty baseline)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from current findings, "
-                        "preserving entry reasons, and exit")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(

@@ -180,6 +180,9 @@ class ServeDaemon:
             data = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return 400, ServeError("bad-request", f"bad JSON body: {exc}").to_dict(), {}
+        if not isinstance(data, dict):
+            message = f"body must be a JSON object, not {type(data).__name__}"
+            return 400, ServeError("bad-request", message).to_dict(), {}
         try:
             plan_request = PlanRequest.from_dict(data)
             response = await self.service.plan(plan_request)
@@ -251,10 +254,15 @@ class ServeDaemon:
                 await writer.drain()
                 if not request.keep_alive:
                     break
+        except asyncio.CancelledError:
+            # Only stop() cancels a connection. End normally: asyncio's
+            # done-callback for client_connected_cb tasks calls
+            # task.exception(), which raises on a cancelled task.
+            pass
         finally:
             if task is not None:
                 self._connections.discard(task)
-            with contextlib.suppress(Exception):
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
 

@@ -1,19 +1,11 @@
-"""Baseline ratchet and SARIF export for `repro lint`."""
+"""SARIF export for `repro lint`."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from repro.analysis import (
-    LINT_RULES,
-    BaselineEntry,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    to_sarif,
-    write_baseline,
-)
+from repro.analysis import LINT_RULES, lint_paths, to_sarif
 from repro.analysis.lint import Violation
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -21,86 +13,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def v(rule: str, file: str, line: int = 1, message: str = "m") -> Violation:
     return Violation(rule=rule, message=message, file=file, line=line)
-
-
-class TestApplyBaseline:
-    def test_empty_baseline_everything_is_fresh(self):
-        found = [v("L310", "core/a.py"), v("L320", "fs/b.py")]
-        fresh, grandfathered, stale = apply_baseline(found, [])
-        assert fresh == found
-        assert grandfathered == []
-        assert stale == []
-
-    def test_budget_absorbs_up_to_count(self):
-        found = [
-            v("L310", "core/a.py", 3),
-            v("L310", "core/a.py", 9),
-            v("L310", "core/a.py", 12),
-        ]
-        baseline = [BaselineEntry("L310", "core/a.py", 2, "legacy seeding")]
-        fresh, grandfathered, stale = apply_baseline(found, baseline)
-        assert len(fresh) == 1  # third finding exceeds the budget
-        assert len(grandfathered) == 2
-        assert all(reason == "legacy seeding" for _, reason in grandfathered)
-        assert stale == []
-
-    def test_unused_budget_is_stale(self):
-        baseline = [BaselineEntry("L320", "fs/gone.py", 2, "pending rewrite")]
-        fresh, grandfathered, stale = apply_baseline([], baseline)
-        assert fresh == []
-        assert grandfathered == []
-        assert [e.file for e in stale] == ["fs/gone.py"]
-
-    def test_partially_used_budget_is_stale(self):
-        found = [v("L320", "fs/b.py")]
-        baseline = [BaselineEntry("L320", "fs/b.py", 3, "being fixed")]
-        fresh, grandfathered, stale = apply_baseline(found, baseline)
-        assert fresh == []
-        assert len(grandfathered) == 1
-        # 2 unused slots: the ratchet demands the count be lowered.
-        assert len(stale) == 1
-
-    def test_budget_is_per_rule_and_file(self):
-        found = [v("L310", "core/a.py"), v("L310", "core/b.py")]
-        baseline = [BaselineEntry("L310", "core/a.py", 1, "r")]
-        fresh, grandfathered, _ = apply_baseline(found, baseline)
-        assert [f.file for f in fresh] == ["core/b.py"]
-        assert len(grandfathered) == 1
-
-
-class TestBaselineIO:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == []
-
-    def test_write_then_load_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [v("L310", "core/a.py"), v("L310", "core/a.py")])
-        entries = load_baseline(path)
-        assert len(entries) == 1
-        assert entries[0].rule == "L310"
-        assert entries[0].count == 2
-        assert entries[0].reason  # default reason is present
-
-    def test_rewrite_preserves_reasons(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [v("L320", "fs/b.py")])
-        entries = load_baseline(path)
-        entries[0].reason = "audited 2026-08: needs fs refactor"
-        path.write_text(
-            json.dumps(
-                {"version": 1, "entries": [e.to_dict() for e in entries]}
-            )
-        )
-        write_baseline(path, [v("L320", "fs/b.py")], previous=load_baseline(path))
-        assert load_baseline(path)[0].reason == (
-            "audited 2026-08: needs fs refactor"
-        )
-
-    def test_committed_baseline_is_small_and_justified(self):
-        entries = load_baseline(REPO_ROOT / "lint-baseline.json")
-        assert len(entries) <= 10
-        for entry in entries:
-            assert entry.reason.strip(), f"{entry.file} missing a reason"
 
 
 class TestSarif:
@@ -118,18 +30,6 @@ class TestSarif:
         loc = result["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "core/a.py"
         assert loc["region"]["startLine"] == 4
-
-    def test_grandfathered_results_carry_suppressions(self):
-        doc = to_sarif(
-            [],
-            [(v("L320", "fs/b.py", 7), "pending rewrite")],
-            rules=LINT_RULES,
-        )
-        results = doc["runs"][0]["results"]
-        assert len(results) == 1
-        sup = results[0]["suppressions"][0]
-        assert sup["kind"] == "external"
-        assert sup["justification"] == "pending rewrite"
 
     def test_fresh_results_have_no_suppressions(self):
         doc = to_sarif([v("L300", "serve/h.py", 2)], rules=LINT_RULES)

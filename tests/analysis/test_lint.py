@@ -4,17 +4,22 @@ Fixture snippets are written into a fake package layout under tmp_path
 (``core/`` counts as a deterministic package, ``metrics/`` does not) so
 the restricted-package gating is exercised, not just the AST matching.
 The flow-sensitive families (L300/L310/L320) have their own dedicated
-test modules; this one covers the front end — scoping, suppressions,
-selection — and the per-node L20x rules.
+test modules; this one covers the front end — root-independent
+scoping, suppressions, selection — and the single-expression L20x
+rules.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import LINT_RULES, RESTRICTED_PACKAGES, lint_file, lint_paths
+from repro.util.errors import ConfigurationError
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def write_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -253,8 +258,51 @@ def test_lint_file_single_path(tmp_path):
 
 def test_every_rule_documented():
     assert set(LINT_RULES) == {
-        "L200", "L201", "L202", "L203", "L204", "L205",
+        "L200", "L202", "L204", "L205",
         "L300", "L301", "L302", "L310", "L320",
     }
-    for code in ("L201", "L203"):
-        assert "deprecated" in LINT_RULES[code]
+    assert all(summary.strip() for summary in LINT_RULES.values())
+
+
+def test_unknown_rule_selection_is_rejected(tmp_path):
+    root = write_tree(tmp_path, {"core/a.py": "x = 1\n"})
+    with pytest.raises(ConfigurationError, match="L201"):
+        lint_paths([root], rules=["L201"])
+    with pytest.raises(ConfigurationError, match="L999"):
+        lint_file(root / "core" / "a.py", rules=["L310", "L999"])
+    assert lint_paths([root], rules=["l310"]).ok
+
+
+def test_fixtures_root_finds_every_case():
+    # Rooted one level above the per-case directories, each fixture's
+    # package is its second path component; scoping must still see it.
+    report = lint_paths([FIXTURES])
+    assert report.by_rule() == {
+        "L300": 6, "L301": 4, "L302": 5, "L310": 6, "L320": 7,
+    }
+    union = sorted(
+        (v.rule, f"{case.name}/{v.file}", v.line)
+        for case in sorted(FIXTURES.iterdir())
+        if case.is_dir()
+        for v in lint_paths([case]).violations
+    )
+    assert sorted((v.rule, v.file, v.line) for v in report.violations) == union
+
+
+def test_findings_do_not_depend_on_lint_root(tmp_path):
+    # client.py scopes by stem and serve/ by directory at any depth.
+    root = write_tree(tmp_path, {
+        "repro/client.py": "import time\nt = time.time()\n",
+        "repro/serve/h.py": (
+            "import time\n"
+            "async def handler():\n"
+            "    time.sleep(1)\n"
+        ),
+    })
+
+    def found(base, prefix=""):
+        return [(v.rule, prefix + (v.file or ""), v.line) for v in lint_paths([base]).violations]
+
+    assert {rule for rule, _, _ in found(root)} == {"L202", "L300"}
+    assert found(root / "repro", "repro/") == found(root)
+    assert found(REPO_SRC, "repro/") == found(REPO_SRC.parent)

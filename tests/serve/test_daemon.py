@@ -71,16 +71,22 @@ class TestRoutes:
         assert status == 405
 
     def test_bad_json_400(self, served):
-        client, daemon, _ = served
+        # Malformed JSON and well-formed non-object bodies are the
+        # client's fault: 400, never a 500 counted as a daemon error.
+        _, daemon, _ = served
         import http.client
 
-        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10)
-        conn.request("POST", "/plan", body=b"{not json",
-                     headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        data = json.loads(response.read())
-        conn.close()
-        assert response.status == 400 and data["code"] == "bad-request"
+        errors = daemon.service.metrics.get("errors")
+        for body in (b"{not json", b"[]", b"1", b'"x"', b"null"):
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10)
+            conn.request("POST", "/plan", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            data = json.loads(response.read())
+            conn.close()
+            assert response.status == 400, body
+            assert data["code"] == "bad-request", body
+        assert daemon.service.metrics.get("errors") == errors
 
     def test_bad_spec_422(self, served, fields):
         client, _, _ = served
@@ -184,6 +190,43 @@ class TestWorkerDeath:
             finally:
                 client.close()
         service.close_sync()
+
+
+class TestShutdown:
+    def test_stop_cancels_handlers_quietly(self, caplog, monkeypatch):
+        # stop() cancels live connection handlers; a cancelled handler
+        # must finish normally, or asyncio's client_connected_cb
+        # done-callback reports the CancelledError through the loop's
+        # exception handler. The client closing first makes the
+        # handler sit in wait_closed() when the cancel lands.
+        import asyncio
+        import http.client
+        import logging
+
+        reported = []
+        real = asyncio.BaseEventLoop.call_exception_handler
+
+        def record(loop, context):
+            reported.append(context)
+            real(loop, context)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_exception_handler", record)
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        service = PlannerService(None, pool="thread", pool_workers=1)
+        try:
+            for _ in range(20):
+                daemon = ServeDaemon(service, port=0)
+                with daemon_in_thread(daemon):
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", daemon.port, timeout=10
+                    )
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().read()
+                    conn.close()
+        finally:
+            service.close_sync()
+        assert reported == []
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestDaemonConstruction:
