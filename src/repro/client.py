@@ -116,14 +116,20 @@ class ServeClient:
         """
         payload = json.dumps(dict(body)).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
+        reused = self._conn is not None
         conn = self._connection()
         try:
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
             raw = response.read()
-        except OSError:
+        except OSError as exc:
             # Drop the broken connection so the next call redials.
             self.close()
+            # The daemon closes keep-alive connections idle past its read
+            # deadline; a request on such a connection is re-sent once.
+            idle_cut = isinstance(exc, (ConnectionResetError, BrokenPipeError))
+            if reused and idle_cut:
+                return self.request(method, path, body)
             raise
         try:
             data = json.loads(raw.decode("utf-8")) if raw else {}

@@ -13,7 +13,6 @@ contention between the shuffle and the storage path in one solver.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -24,7 +23,7 @@ from ..sim.flows import Flow
 from ..util.errors import FileSystemError
 from ..util.intervals import ExtentList
 from .file_image import FileImage
-from .striping import StripingLayout
+from .striping import OSTLoad, StripingLayout
 
 __all__ = ["ParallelFileSystem", "SimFile", "ost_key", "PFS_BACKPLANE", "IOKind"]
 
@@ -36,13 +35,6 @@ IOKind = Literal["read", "write"]
 def ost_key(index: int) -> tuple[str, int]:
     """Resource key for one object storage target."""
     return ("ost", index)
-
-
-@dataclass(slots=True)
-class _OSTStats:
-    bytes_written: int = 0
-    bytes_read: int = 0
-    requests: int = 0
 
 
 class SimFile:
@@ -86,7 +78,10 @@ class ParallelFileSystem:
         self.track_data = track_data
         self.layout = StripingLayout(storage.stripe_unit, storage.n_osts)
         self._files: dict[str, SimFile] = {}
-        self._ost_stats = [_OSTStats() for _ in range(storage.n_osts)]
+        # Per-OST metrics, indexed by OST id.
+        self._bytes_written = np.zeros(storage.n_osts, dtype=np.int64)
+        self._bytes_read = np.zeros(storage.n_osts, dtype=np.int64)
+        self._requests = np.zeros(storage.n_osts, dtype=np.int64)
 
     # --------------------------------------------------------------- files
     def open(self, name: str) -> SimFile:
@@ -116,13 +111,16 @@ class ParallelFileSystem:
     def access_flows(
         self,
         node_id: int,
-        extents: ExtentList,
+        access: ExtentList | OSTLoad,
         kind: IOKind,
         *,
         label: str = "",
         stream: Hashable | None = None,
     ) -> list[Flow]:
-        """Flows for one client node accessing ``extents``.
+        """Flows for one client node accessing ``access``.
+
+        ``access`` is an extent set, or its :meth:`StripingLayout.ost_load`
+        when the caller also accounts it (so the set is split once).
 
         A write flow crosses: the client's memory bus (buffer read-out),
         its NIC injection, the fabric core, the target OST, and the PFS
@@ -133,17 +131,18 @@ class ParallelFileSystem:
         ``client_stream_bandwidth`` (add the matching capacity with
         :meth:`stream_key` / :meth:`stream_capacity`).
         """
-        if extents.is_empty:
+        load = self._load(access)
+        busy = np.flatnonzero(load.bytes)
+        if busy.size == 0:
             return []
-        bytes_per, runs_per = self.layout.object_stats(extents)
         nic = nic_out(node_id) if kind == "write" else nic_in(node_id)
         factor = self.storage.read_factor if kind == "read" else 1.0
         per_ost_cap = self.storage.ost_bandwidth * factor
         stream_res = (self.stream_key(stream),) if stream is not None else ()
         flows: list[Flow] = []
-        for ost, (nbytes, runs) in enumerate(zip(bytes_per, runs_per)):
-            if nbytes == 0:
-                continue
+        for ost, nbytes, runs in zip(
+            busy.tolist(), load.bytes[busy].tolist(), load.runs[busy].tolist()
+        ):
             key = ost_key(ost)
             # Each contiguous object run pays the per-request service
             # overhead at the OST; expressed as extra effective bytes so
@@ -167,6 +166,9 @@ class ParallelFileSystem:
             )
         return flows
 
+    def _load(self, access: ExtentList | OSTLoad) -> OSTLoad:
+        return self.layout.ost_load(access) if isinstance(access, ExtentList) else access
+
     @staticmethod
     def stream_key(stream: Hashable) -> tuple[str, Hashable]:
         """Resource key for one client process's I/O stream."""
@@ -177,35 +179,19 @@ class ParallelFileSystem:
         factor = self.storage.read_factor if kind == "read" else 1.0
         return self.storage.client_stream_bandwidth * factor
 
-    def request_overhead_seconds(self, piece_counts_per_ost: np.ndarray) -> float:
-        """Latency from per-request service costs in one I/O phase.
-
-        Requests at one OST serialize; OSTs work in parallel — so the
-        phase pays the *maximum* per-OST request count times the
-        per-request overhead.
-        """
-        if piece_counts_per_ost.size == 0:
-            return 0.0
-        return float(piece_counts_per_ost.max(initial=0)) * self.storage.request_overhead
-
     # ------------------------------------------------------------ accounting
-    def account_access(self, extents: ExtentList, kind: IOKind) -> None:
+    def account_access(self, access: ExtentList | OSTLoad, kind: IOKind) -> None:
         """Record bytes/requests per OST for metrics."""
-        bytes_per, reqs_per = self.layout.piece_stats(extents)
-        for i, (b, r) in enumerate(zip(bytes_per, reqs_per)):
-            stats = self._ost_stats[i]
-            if kind == "write":
-                stats.bytes_written += int(b)
-            else:
-                stats.bytes_read += int(b)
-            stats.requests += int(r)
+        load = self._load(access)
+        if kind == "write":
+            self._bytes_written += load.bytes
+        else:
+            self._bytes_read += load.bytes
+        self._requests += load.pieces
 
     def ost_utilization(self) -> np.ndarray:
         """Total bytes served per OST (reads + writes)."""
-        return np.asarray(
-            [s.bytes_read + s.bytes_written for s in self._ost_stats],
-            dtype=np.int64,
-        )
+        return self._bytes_read + self._bytes_written
 
     def total_requests(self) -> int:
-        return sum(s.requests for s in self._ost_stats)
+        return int(self._requests.sum())

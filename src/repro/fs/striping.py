@@ -8,10 +8,14 @@ file-domain boundaries that respect stripe boundaries avoid splitting a
 server request across OSTs.
 
 All the mapping operations here are vectorized over
-:class:`~repro.util.intervals.ExtentList` sets.
+:class:`~repro.util.intervals.ExtentList` sets: an access set is cut at
+stripe-unit boundaries once (:meth:`StripingLayout.ost_load`), and a
+single contiguous range is priced by arithmetic without any cut.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +23,17 @@ from ..util.errors import StripingError
 from ..util.intervals import ExtentList
 from ..util.validation import check_positive
 
-__all__ = ["StripingLayout"]
+__all__ = ["OSTLoad", "StripingLayout"]
+
+
+class OSTLoad(NamedTuple):
+    """Per-OST totals of one access set (int64 arrays indexed by OST)."""
+
+    bytes: np.ndarray
+    #: stripe-unit-confined pieces: server requests without merging
+    pieces: np.ndarray
+    #: contiguous runs in each OST's object: requests a client issues
+    runs: np.ndarray
 
 
 class StripingLayout:
@@ -47,32 +61,26 @@ class StripingLayout:
         return -(-offset // self.stripe_unit) * self.stripe_unit
 
     # ------------------------------------------------------------- extents
-    def _grid(self, lo: int, hi: int) -> np.ndarray:
-        """Stripe-unit boundaries covering ``[lo, hi)`` (inclusive ends)."""
-        g_lo = self.align_down(lo)
-        g_hi = self.align_up(hi)
-        if g_hi == g_lo:
-            g_hi = g_lo + self.stripe_unit
-        return np.arange(g_lo, g_hi + 1, self.stripe_unit, dtype=np.int64)
-
     def split_pieces(
         self, extents: ExtentList
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cut ``extents`` at stripe-unit boundaries.
 
-        Returns ``(ost_idx, piece_starts, piece_ends)``; each piece lies
-        inside one stripe unit, so it maps to exactly one OST and is one
-        server request.
+        Returns ``(ost_idx, piece_starts, piece_ends)`` in file order;
+        each piece lies inside one stripe unit, so it maps to exactly one
+        OST and is one server request.
         """
-        if extents.is_empty:
-            e = np.empty(0, np.int64)
-            return e, e.copy(), e.copy()
-        env = extents.envelope()
-        grid = self._grid(env.offset, env.end)
-        bin_idx, ps, pe = extents.split_to_bins(grid)
-        stripe_index = grid[bin_idx] // self.stripe_unit
-        ost = (stripe_index % self.stripe_count).astype(np.int64)
-        return ost, ps, pe
+        unit = self.stripe_unit
+        starts, ends = extents.starts, extents.ends
+        first = starts // unit
+        counts = (ends - 1) // unit - first + 1
+        total = int(counts.sum())
+        owner = np.repeat(np.arange(starts.size), counts)
+        offset = np.cumsum(counts) - counts
+        stripe = first[owner] + (np.arange(total) - offset[owner])
+        ps = np.maximum(starts[owner], stripe * unit)
+        pe = np.minimum(ends[owner], (stripe + 1) * unit)
+        return stripe % self.stripe_count, ps, pe
 
     def split_by_ost(self, extents: ExtentList) -> list[ExtentList]:
         """Per-OST extent lists (index = OST id). Union equals input."""
@@ -83,45 +91,68 @@ class StripingLayout:
             out.append(ExtentList(ps[mask], pe[mask]))
         return out
 
+    def ost_load(self, extents: ExtentList) -> OSTLoad:
+        """Per-OST bytes, stripe-unit pieces and object runs, in one split.
+
+        Lustre stores a file's stripe units for one OST back-to-back in a
+        single object, so stripe units ``k`` and ``k + stripe_count`` are
+        *contiguous on disk*. A client therefore issues one server request
+        per contiguous **object** range (``runs``), not per stripe unit
+        (``pieces``) — this is what lets large collective buffers amortize
+        per-request overhead.
+        """
+        count = self.stripe_count
+        if len(extents) == 1:
+            return self._contiguous_load(int(extents.starts[0]), int(extents.ends[0]))
+        ost, ps, pe = self.split_pieces(extents)
+        unit = self.stripe_unit
+        obj_start = (ps // unit // count) * unit + ps % unit
+        obj_end = obj_start + (pe - ps)
+        order = np.lexsort((obj_start, ost))
+        ost, obj_start, obj_end = ost[order], obj_start[order], obj_end[order]
+        # Pieces are disjoint, so within one OST a run ends wherever the
+        # next piece does not start exactly at the previous piece's end.
+        new_run = np.ones(ost.size, dtype=bool)
+        new_run[1:] = (ost[1:] != ost[:-1]) | (obj_start[1:] != obj_end[:-1])
+        nbytes = np.zeros(count, dtype=np.int64)
+        np.add.at(nbytes, ost, obj_end - obj_start)
+        return OSTLoad(
+            nbytes,
+            np.bincount(ost, minlength=count),
+            np.bincount(ost[new_run], minlength=count),
+        )
+
+    def _contiguous_load(self, lo: int, hi: int) -> OSTLoad:
+        """:meth:`ost_load` of the single range ``[lo, hi)``, by arithmetic.
+
+        Its stripe units are consecutive, so each OST holds every
+        ``stripe_count``-th one — a single object run — and only the
+        first and last unit can be partial.
+        """
+        unit, count = self.stripe_unit, self.stripe_count
+        first, last = lo // unit, (hi - 1) // unit
+        n_units = last - first + 1
+        pieces = np.full(count, n_units // count, dtype=np.int64)
+        pieces[(first + np.arange(n_units % count)) % count] += 1
+        nbytes = pieces * unit
+        nbytes[first % count] -= lo - first * unit
+        nbytes[last % count] -= (last + 1) * unit - hi
+        return OSTLoad(nbytes, pieces, (pieces > 0).astype(np.int64))
+
     def piece_stats(self, extents: ExtentList) -> tuple[np.ndarray, np.ndarray]:
         """Per-OST ``(bytes, n_requests)`` for an access set.
 
         ``n_requests`` counts stripe-unit-confined contiguous pieces —
         the number of server-side requests the access generates.
         """
-        ost, ps, pe = self.split_pieces(extents)
-        bytes_per = np.zeros(self.stripe_count, dtype=np.int64)
-        reqs_per = np.zeros(self.stripe_count, dtype=np.int64)
-        np.add.at(bytes_per, ost, pe - ps)
-        np.add.at(reqs_per, ost, 1)
-        return bytes_per, reqs_per
+        load = self.ost_load(extents)
+        return load.bytes, load.pieces
 
     def object_stats(self, extents: ExtentList) -> tuple[np.ndarray, np.ndarray]:
-        """Per-OST ``(bytes, n_contiguous_object_runs)`` for an access set.
-
-        Lustre stores a file's stripe units for one OST back-to-back in a
-        single object, so stripe units ``k`` and ``k + stripe_count`` are
-        *contiguous on disk*. A client therefore issues one server request
-        per contiguous **object** range, not per stripe unit — this is what
-        lets large collective buffers amortize per-request overhead.
-        """
-        ost, ps, pe = self.split_pieces(extents)
-        bytes_per = np.zeros(self.stripe_count, dtype=np.int64)
-        runs_per = np.zeros(self.stripe_count, dtype=np.int64)
-        if ost.size == 0:
-            return bytes_per, runs_per
-        unit = self.stripe_unit
-        stripe_index = ps // unit
-        obj_start = (stripe_index // self.stripe_count) * unit + (ps % unit)
-        obj_end = obj_start + (pe - ps)
-        for k in np.unique(ost):
-            mask = ost == k
-            runs = ExtentList(obj_start[mask], obj_end[mask])
-            bytes_per[k] = runs.total
-            runs_per[k] = len(runs)
-        return bytes_per, runs_per
+        """Per-OST ``(bytes, n_contiguous_object_runs)`` for an access set."""
+        load = self.ost_load(extents)
+        return load.bytes, load.runs
 
     def osts_touched(self, extents: ExtentList) -> np.ndarray:
         """Sorted unique OST ids an access set lands on."""
-        ost, _, _ = self.split_pieces(extents)
-        return np.unique(ost)
+        return np.flatnonzero(self.ost_load(extents).bytes)

@@ -9,7 +9,7 @@ from .hints import CollectiveHints
 from .independent import IndependentIO
 from .result import AggregatorInfo, CollectiveResult
 from .rounds import execute_collective
-from .shuffle import ExchangePiece, plan_exchange, shuffle_flows
+from .shuffle import ExchangeIndex, ExchangePiece, plan_exchange, shuffle_flows
 from .two_phase import TwoPhaseCollectiveIO, default_aggregators
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "AggregatorInfo",
     "CollectiveResult",
     "execute_collective",
+    "ExchangeIndex",
     "ExchangePiece",
     "plan_exchange",
     "shuffle_flows",

@@ -85,6 +85,8 @@ buffers, groups) and not from divergent cost accounting.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from ..cluster.network import BISECTION, membw, nic_in, nic_out
@@ -114,16 +116,12 @@ from ..util.intervals import ExtentList
 from .context import IOContext
 from .domains import FileDomain
 from .result import AggregatorInfo, CollectiveResult
-from .shuffle import plan_exchange, shuffle_flows
+from .shuffle import ExchangeIndex, plan_exchange, shuffle_flows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.runtime import FaultRuntime
 
-__all__ = ["execute_collective", "PAGING_PENALTY_FACTOR"]
-
-# PAGING_PENALTY_FACTOR lives in repro.faults.levers (the page lever's
-# price and the engine's paging charge must agree); re-exported here
-# for backward compatibility.
+__all__ = ["execute_collective"]
 
 # Re-coordination after a mid-run degradation exchanges one small
 # control record per participant (new buffer size / new domain owner).
@@ -199,8 +197,8 @@ def _move_data(
 class _DegradationController:
     """Reaction side of the fault layer, operating on live engine state.
 
-    Owns no engine state itself — it mutates the lists the round loop
-    reads (``remaining``, ``buffers``, ``candidates``, ``released``) and
+    Owns no engine state itself — it mutates the state the round loop
+    reads (``remaining``, ``buffers``, ``index``, ``released``) and
     charges every reaction through the context's cost models. All
     decisions are pure functions of engine + fault state, so faulted
     runs stay exactly deterministic.
@@ -213,7 +211,7 @@ class _DegradationController:
         domains: Sequence[FileDomain],
         remaining: list[ExtentList],
         buffers: list[int],
-        candidates: list[list],
+        index: ExchangeIndex,
         caps: dict[Hashable, float],
         domain_sync: list[float],
         telemetry: Telemetry,
@@ -226,7 +224,7 @@ class _DegradationController:
         self.domains = domains
         self.remaining = remaining
         self.buffers = buffers
-        self.candidates = candidates
+        self.index = index
         self.caps = caps
         self.domain_sync = domain_sync
         self.telemetry = telemetry
@@ -487,10 +485,7 @@ class _DegradationController:
         moved = self.remaining[i].total
         self.remaining[taker] = self.remaining[taker].union(self.remaining[i])
         self.remaining[i] = ExtentList.empty()
-        self.candidates[taker] = list(self.candidates[taker]) + list(
-            self.candidates[i]
-        )
-        self.candidates[i] = []
+        self.index.remerge(i, taker)
         node.memory.release(f"aggbuf:{i}")
         if self.pool is not None and self.borrows[i] > 0:
             self.pool.release(f"aggbuf:{i}")
@@ -716,24 +711,9 @@ def execute_collective(
         # deratable (pool_link_degrade), and visible in telemetry.
         caps.update(pool.capacity_map())
 
-    # Each domain's candidate requests, pre-intersected with its
-    # coverage once — per-round windows are subsets of the coverage, so
-    # per-round intersections run on these (much smaller) pieces.
-    candidates: list[list[tuple[AccessRequest, ExtentList]]] = []
-    for domain in domains:
-        env = domain.coverage.envelope()
-        cands = []
-        for r in requests:
-            if r.extents.is_empty:
-                continue
-            r_env = r.extents.envelope()
-            if r_env.end <= env.offset or r_env.offset >= env.end:
-                continue
-            piece = r.extents.intersect(domain.coverage)
-            if not piece.is_empty:
-                cands.append((r, piece))
-        candidates.append(cands)
-
+    # Every request's pieces in every domain's coverage, cut once; each
+    # round's exchange is a range lookup per window extent.
+    index = ExchangeIndex(requests, domains)
     request_by_rank = {r.rank: r for r in requests}
     planned_rounds = max((d.rounds() for d in domains), default=0)
     intra_total = 0
@@ -797,7 +777,7 @@ def execute_collective(
     max_rounds = planned_rounds
     if faults is not None:
         controller = _DegradationController(
-            faults, ctx, domains, remaining, buffers, candidates,
+            faults, ctx, domains, remaining, buffers, index,
             caps, domain_sync, telemetry, released, borrows, borrow_links,
         )
         # Runaway guard: even a fully shrunk schedule must terminate.
@@ -805,6 +785,18 @@ def execute_collective(
         total_cov = sum(d.covered_bytes for d in domains)
         max_rounds = planned_rounds + 16 + total_cov // floor
     cap_of = caps.__getitem__ if controller is None else controller.eff_cap
+    two_layer = ctx.hints.two_layer_shuffle
+    # Under two-layer coordination an aggregator rank that owns several
+    # domains merges each source node's bytes across all of them into one
+    # flow. Per-domain flows charge the same integral bytes in the same
+    # key order, but a fault derate turns each charge into a non-integral
+    # one whose sum depends on that grouping, so faulted runs keep the
+    # round-wide merge for the resource totals.
+    merge_across_domains = (
+        two_layer
+        and controller is not None
+        and len({d.aggregator for d in domains}) < len(domains)
+    )
 
     # Derate-weighted twin of ``resource_load``: while a stall/OST fault
     # is active, each byte crossing the derated resource counts for
@@ -821,15 +813,24 @@ def execute_collective(
             default=0.0,
         )
 
-    def _accumulate(flows: list[Flow]) -> None:
+    def _charge(flows: list[Flow], round_load: dict[Hashable, float]) -> None:
+        """Add the flows' charges to the run's loads and to this round's."""
+        derate = controller.faults.state.derate if controller is not None else None
         for flow in flows:
+            sizes = flow.resource_sizes
             for key in flow.resources:
-                charge = flow.charge_on(key)
+                charge = sizes[key] if sizes and key in sizes else flow.size
                 resource_load[key] = resource_load.get(key, 0.0) + charge
-                if controller is not None:
+                round_load[key] = round_load.get(key, 0.0) + charge
+                if derate is not None:
                     resource_load_eff[key] = resource_load_eff.get(
                         key, 0.0
-                    ) + charge * controller.faults.state.derate(key)
+                    ) + charge * derate(key)
+
+    def _drain_time(flows: list[Flow], round_load: dict[Hashable, float]) -> float:
+        """Drain time of the most-loaded resource the flows touch."""
+        keys = dict.fromkeys(key for flow in flows for key in flow.resources)
+        return max((round_load[key] / cap_of(key) for key in keys), default=0.0)
 
     r = 0
     try:
@@ -849,7 +850,7 @@ def execute_collective(
                 else remaining[i].slice_bytes(0, buffers[i])
                 for i in range(len(domains))
             ]
-            active = [(i, w) for i, w in enumerate(windows) if not w.is_empty]
+            active = [(i, w, w.total) for i, w in enumerate(windows) if not w.is_empty]
             if not active:
                 break
             if r >= max_rounds:
@@ -857,64 +858,58 @@ def execute_collective(
                     f"round schedule failed to terminate after {r} rounds "
                     f"(planned {planned_rounds}); degradation runaway?"
                 )
-            pieces = plan_exchange(candidates, windows, domains)
-            two_layer = ctx.hints.two_layer_shuffle
-            sh_flows, intra, inter = shuffle_flows(
-                pieces, ctx.comm, kind, two_layer=two_layer
-            )
-            intra_total += intra
-            inter_total += inter
-            shuffle_bytes_total += intra + inter
-
-            pieces_by_domain: dict[int, list] = {}
-            for piece in pieces:
-                pieces_by_domain.setdefault(piece.domain_index, []).append(piece)
+            pieces = plan_exchange(index, windows, with_extents=track)
+            # Each domain's flows are built once; the round's flows are
+            # their concatenation in domain order, the flow list of all
+            # pieces at once (see merge_across_domains for the exception).
+            sh_flows: list[Flow] = []
             flows_by_domain: dict[int, list[Flow]] = {}
             msgs_by_domain: dict[int, int] = {}
-            for d_idx, d_pieces in pieces_by_domain.items():
-                flows, _, _ = shuffle_flows(
+            intra = inter = 0
+            for d_idx, group in groupby(pieces, key=attrgetter("domain_index")):
+                d_pieces = list(group)
+                flows, d_intra, d_inter = shuffle_flows(
                     d_pieces, ctx.comm, kind, two_layer=two_layer
                 )
                 flows_by_domain[d_idx] = flows
                 # Messages per aggregator: merged flows under two-layer
                 # coordination, raw pieces otherwise.
                 msgs_by_domain[d_idx] = len(flows) if two_layer else len(d_pieces)
-            _accumulate(sh_flows)
+                sh_flows += flows
+                intra += d_intra
+                inter += d_inter
+            if merge_across_domains:
+                sh_flows, _, _ = shuffle_flows(
+                    pieces, ctx.comm, kind, two_layer=True
+                )
+            intra_total += intra
+            inter_total += inter
+            shuffle_bytes_total += intra + inter
 
             # Per-round contended loads, then each domain pays the drain
             # time of the most-loaded resource its own flows touch.
             round_sh_load: dict[Hashable, float] = {}
-            for flow in sh_flows:
-                for key in flow.resources:
-                    round_sh_load[key] = round_sh_load.get(key, 0.0) + flow.charge_on(key)
+            _charge(sh_flows, round_sh_load)
             round_io_load: dict[Hashable, float] = {}
             io_flows_by_domain: dict[int, list[Flow]] = {}
             round_io_bytes = 0
-            for i, window in active:
+            for i, window, nbytes in active:
                 agg_node = ctx.comm.node_of(domains[i].aggregator)
+                load = ctx.pfs.layout.ost_load(window)  # split once, used twice
                 io_flows = ctx.pfs.access_flows(
-                    agg_node, window, kind, label=f"io:d{i}:r{r}", stream=i
+                    agg_node, load, kind, label=f"io:d{i}:r{r}", stream=i
                 )
                 io_flows_by_domain[i] = io_flows
-                ctx.pfs.account_access(window, kind)
-                io_bytes_total += window.total
-                round_io_bytes += window.total
-                _accumulate(io_flows)
-                for flow in io_flows:
-                    for key in flow.resources:
-                        round_io_load[key] = round_io_load.get(key, 0.0) + flow.charge_on(key)
+                ctx.pfs.account_access(load, kind)
+                io_bytes_total += nbytes
+                round_io_bytes += nbytes
+                _charge(io_flows, round_io_load)
                 if pool is not None and borrows[i] > 0:
                     # The borrowed share of this round's window crosses
                     # its pool access link twice: staged in during the
                     # shuffle, read back for the I/O phase.
-                    key = pool_link(borrow_links[i])
-                    charge = 2.0 * window.total * borrows[i] / max(buffers[i], 1)
-                    round_io_load[key] = round_io_load.get(key, 0.0) + charge
-                    resource_load[key] = resource_load.get(key, 0.0) + charge
-                    if controller is not None:
-                        resource_load_eff[key] = resource_load_eff.get(
-                            key, 0.0
-                        ) + charge * controller.faults.state.derate(key)
+                    staged = 2.0 * nbytes * borrows[i] / max(buffers[i], 1)
+                    _charge([Flow(staged, (pool_link(borrow_links[i]),))], round_io_load)
 
             # Message-startup latency is paid per round at *this* round's
             # per-aggregator message count — a dense first round must not
@@ -924,23 +919,9 @@ def execute_collective(
             latency_total += round_latency
 
             round_costs: list[DomainRoundCost] = []
-            for i, _ in active:
-                sh_cost = max(
-                    (
-                        round_sh_load[key] / cap_of(key)
-                        for flow in flows_by_domain.get(i, [])
-                        for key in flow.resources
-                    ),
-                    default=0.0,
-                )
-                io_cost = max(
-                    (
-                        round_io_load[key] / cap_of(key)
-                        for flow in io_flows_by_domain[i]
-                        for key in flow.resources
-                    ),
-                    default=0.0,
-                )
+            for i, _, _ in active:
+                sh_cost = _drain_time(flows_by_domain.get(i, []), round_sh_load)
+                io_cost = _drain_time(io_flows_by_domain[i], round_io_load)
                 if pool is not None and borrows[i] > 0:
                     link_key = pool_link(borrow_links[i])
                     io_cost = (
@@ -981,13 +962,11 @@ def execute_collective(
                 _move_data(file, with_data, kind)
             elif kind == "write":
                 # Even without byte tracking, the file's logical size grows.
-                for i, window in active:
+                for i, window, _ in active:
                     file.apply_write(window, None)
 
-            for i, window in active:
-                remaining[i] = remaining[i].slice_bytes(
-                    window.total, remaining[i].total
-                )
+            for i, _, nbytes in active:
+                remaining[i] = remaining[i].slice_bytes(nbytes, remaining[i].total)
             r += 1
     finally:
         _release_buffers(ctx, domains, released)

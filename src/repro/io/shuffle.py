@@ -5,12 +5,21 @@ aggregator's round window; the non-empty pieces become point-to-point
 transfers. Intra-node pieces are memory copies (charged twice on the
 node's memory bus); inter-node pieces cross both NICs and the fabric
 core — the distinction that makes aggregator *placement* matter.
+
+The intersections are columnar. :class:`ExchangeIndex` flattens the
+requests into (request, start, end) segments once per run and cuts them
+to every domain's coverage; each domain keeps its segments sorted by
+start, with a running maximum of their ends. A round window's pieces are
+then one ``searchsorted`` range per window extent, with only the
+segments at the range's ends clipped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from ..cluster.network import BISECTION, membw, nic_in, nic_out
 from ..fs.pfs import IOKind
@@ -20,63 +29,169 @@ from ..sim.flows import Flow
 from ..util.intervals import ExtentList
 from .domains import FileDomain
 
-__all__ = ["ExchangePiece", "plan_exchange", "shuffle_flows"]
+__all__ = [
+    "ExchangeIndex",
+    "ExchangePiece",
+    "plan_exchange",
+    "shuffle_flows",
+]
 
 
-@dataclass(frozen=True, slots=True)
-class ExchangePiece:
+class ExchangePiece(NamedTuple):
     """Bytes one process exchanges with one aggregator in one round."""
 
     src_rank: int  # the requesting process
     agg_rank: int  # the aggregator
     domain_index: int
-    piece: ExtentList
+    nbytes: int
+    #: the bytes themselves; built only for the byte-accurate data path
+    piece: ExtentList | None = None
 
-    @property
-    def nbytes(self) -> int:
-        return self.piece.total
+
+class _Segments:
+    """One domain's request ∩ coverage segments, sorted by start.
+
+    ``cand[k]`` is segment ``k``'s candidate: the position, in request
+    order, of the request it came from among the requests that touch
+    the domain; ``ranks[c]`` is candidate ``c``'s source rank.
+    """
+
+    __slots__ = ("starts", "ends", "run_end", "cand", "ranks")
+
+    def __init__(self, starts, ends, request: np.ndarray, rank_of: np.ndarray):
+        order = np.argsort(starts, kind="stable")
+        self.starts = starts[order]
+        self.ends = ends[order]
+        # Segments of different requests may overlap (reads), so the ends
+        # are not sorted; their running maximum is, and bounds the range.
+        self.run_end = np.maximum.accumulate(self.ends)
+        touching = np.unique(request)
+        self.cand = np.searchsorted(touching, request[order])
+        self.ranks = rank_of[touching].tolist()
+
+    def cut(self, window: ExtentList) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cand, start, end)`` of the window's pieces, by candidate then start."""
+        w_lo, w_hi = window.starts, window.ends
+        lo = np.searchsorted(self.run_end, w_lo, side="right")
+        hi = np.searchsorted(self.starts, w_hi, side="left")
+        # Window extents are sorted and disjoint, so this expansion is
+        # already in start order.
+        counts = np.maximum(hi - lo, 0)
+        total = int(counts.sum())
+        ext = np.repeat(np.arange(w_lo.size), counts)
+        seg = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        starts = np.maximum(self.starts[seg], w_lo[ext])
+        ends = np.minimum(self.ends[seg], w_hi[ext])
+        # Segments inside the range may still end before the window
+        # starts (the range is bounded by the running maximum of ends).
+        keep = ends > starts
+        cand = self.cand[seg][keep]
+        order = np.argsort(cand, kind="stable")
+        return cand[order], starts[keep][order], ends[keep][order]
+
+
+class ExchangeIndex:
+    """Every domain's request pieces, indexed once per run.
+
+    ``parts[d]`` lists the original domains whose coverage domain ``d``
+    serves now, in order: ``[d]`` until a remerge hands it another
+    domain's remaining coverage, which :meth:`remerge` appends.
+    """
+
+    def __init__(
+        self, requests: Sequence[AccessRequest], domains: Sequence[FileDomain]
+    ) -> None:
+        lists = [r.extents for r in requests]
+        sizes = np.asarray([len(el) for el in lists], dtype=np.int64)
+        rank_of = np.asarray([r.rank for r in requests], dtype=np.int64)
+        request = np.repeat(np.arange(len(lists)), sizes)
+        starts = np.concatenate([el.starts for el in lists] or [np.empty(0, np.int64)])
+        ends = np.concatenate([el.ends for el in lists] or [np.empty(0, np.int64)])
+        order = np.argsort(starts, kind="stable")
+        request, starts, ends = request[order], starts[order], ends[order]
+        run_end = np.maximum.accumulate(ends)
+        self.aggregators = [d.aggregator for d in domains]
+        self.segments = [
+            self._cover(request, starts, ends, run_end, d.coverage, rank_of)
+            for d in domains
+        ]
+        self.parts: list[list[int]] = [[d] for d in range(len(domains))]
+
+    @staticmethod
+    def _cover(request, starts, ends, run_end, coverage: ExtentList, rank_of):
+        """Request segments cut to one coverage."""
+        env = coverage.envelope()
+        sel = slice(
+            int(np.searchsorted(run_end, env.offset, side="right")),
+            int(np.searchsorted(starts, env.end, side="left")),
+        )
+        c_lo, c_hi = coverage.starts, coverage.ends
+        request, starts, ends = request[sel], starts[sel], ends[sel]
+        # Coverage extents each segment overlaps: [first, last).
+        first = np.searchsorted(c_hi, starts, side="right")
+        last = np.searchsorted(c_lo, ends, side="left")
+        counts = np.maximum(last - first, 0)
+        total = int(counts.sum())
+        seg = np.repeat(np.arange(starts.size), counts)
+        ext = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        return _Segments(
+            np.maximum(starts[seg], c_lo[ext]),
+            np.minimum(ends[seg], c_hi[ext]),
+            request[seg],
+            rank_of,
+        )
+
+    def remerge(self, src: int, taker: int) -> None:
+        """Domain ``taker`` takes over everything domain ``src`` serves."""
+        self.parts[taker] = self.parts[taker] + self.parts[src]
+        self.parts[src] = []
+
+    def pieces(
+        self, d: int, window: ExtentList, *, with_extents: bool = False
+    ) -> list[ExchangePiece]:
+        """Domain ``d``'s pieces for one window, per part in candidate order."""
+        out: list[ExchangePiece] = []
+        agg = self.aggregators[d]
+        for part in self.parts[d]:
+            segs = self.segments[part]
+            cand, starts, ends = segs.cut(window)
+            # Runs of equal candidates are one piece each.
+            runs: list[list[int]] = []  # [candidate, first segment, bytes]
+            for k, (c, n) in enumerate(zip(cand.tolist(), (ends - starts).tolist())):
+                if runs and runs[-1][0] == c:
+                    runs[-1][2] += n
+                else:
+                    runs.append([c, k, n])
+            for j, (c, first, nbytes) in enumerate(runs):
+                piece = None
+                if with_extents:
+                    last = runs[j + 1][1] if j + 1 < len(runs) else cand.size
+                    piece = ExtentList(starts[first:last], ends[first:last])
+                out.append(ExchangePiece(segs.ranks[c], agg, d, nbytes, piece))
+        return out
 
 
 def plan_exchange(
-    candidates: Sequence[Sequence[tuple[AccessRequest, ExtentList]]],
+    index: ExchangeIndex,
     windows: Sequence[ExtentList],
-    domains: Sequence[FileDomain],
+    *,
+    with_extents: bool = False,
 ) -> list[ExchangePiece]:
-    """Intersect candidate pieces with each aggregator's round window.
+    """Every domain's pieces for its round window ``windows[d]``.
 
-    ``windows[i]`` is the slice of ``domains[i]`` handled this round and
-    ``candidates[i]`` holds ``(request, request ∩ domain_coverage)``
-    pairs computed once by the round engine — per-round work then runs
-    on the pre-intersected (small) pieces. Pairs whose envelope misses
-    the window are skipped cheaply.
+    Pieces come per domain, then per part (the domain's own coverage
+    first, remerged coverage after), then per source request in request
+    order. ``with_extents`` also builds each piece's extent list.
     """
     pieces: list[ExchangePiece] = []
-    for d_idx, (window, domain) in enumerate(zip(windows, domains)):
-        if window.is_empty:
-            continue
-        w_env = window.envelope()
-        for req, dom_piece in candidates[d_idx]:
-            if dom_piece.is_empty:
-                continue
-            r_env = dom_piece.envelope()
-            if r_env.end <= w_env.offset or r_env.offset >= w_env.end:
-                continue
-            piece = dom_piece.intersect(window)
-            if piece.is_empty:
-                continue
-            pieces.append(
-                ExchangePiece(
-                    src_rank=req.rank,
-                    agg_rank=domain.aggregator,
-                    domain_index=d_idx,
-                    piece=piece,
-                )
-            )
+    for d, window in enumerate(windows):
+        if not window.is_empty:
+            pieces += index.pieces(d, window, with_extents=with_extents)
     return pieces
 
 
 def shuffle_flows(
-    pieces: Sequence[ExchangePiece],
+    pieces: Iterable[ExchangePiece],
     comm: SimComm,
     kind: IOKind,
     *,

@@ -20,7 +20,11 @@ method    path       behaviour
 
 Connections are keep-alive (clients reuse one socket for thousands of
 requests); malformed or oversized requests close the connection after a
-structured error. The same handler serves TCP and Unix-domain sockets.
+structured error. Each request must arrive whole within
+``_READ_DEADLINE_S`` of the daemon starting to read it, so a silent or
+stalled client is disconnected (and counted in ``timeouts``) instead of
+holding its connection until shutdown. The same handler serves TCP and
+Unix-domain sockets.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ __all__ = ["ServeDaemon", "daemon_in_thread"]
 
 _MAX_HEADERS = 100
 _MAX_BODY = 8 << 20  # a PlanRequest is ~1 KB; anything near this is abuse
+# Seconds from the start of reading a request (the accept, or the last
+# response on a keep-alive connection) to the end of its body.
+_READ_DEADLINE_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -217,7 +224,12 @@ class ServeDaemon:
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await asyncio.wait_for(
+                        _read_request(reader), _READ_DEADLINE_S
+                    )
+                except asyncio.TimeoutError:
+                    metrics.count("timeouts")
+                    break
                 except (
                     SpecError,
                     asyncio.IncompleteReadError,

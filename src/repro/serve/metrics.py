@@ -93,7 +93,7 @@ class ServeMetrics:
     Counter names are stable API (the load generator and the smoke CI
     assert on them): ``requests``, ``hits``, ``misses``, ``rejects``,
     ``coalesced``, ``overloads``, ``planning_jobs``, ``spec_errors``,
-    ``errors``, ``evictions``.
+    ``errors``, ``evictions``, ``timeouts``.
     """
 
     def __init__(self) -> None:

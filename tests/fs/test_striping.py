@@ -131,3 +131,41 @@ def test_property_object_runs_never_exceed_pieces(pairs, unit, count):
     b_obj, n_obj = lay.object_stats(el)
     assert np.array_equal(b_piece, b_obj)
     assert np.all(n_obj <= n_piece)  # coalescing only merges
+
+
+def _reference_ost_load(lay: StripingLayout, el: ExtentList):
+    """Per-stripe-unit loop: bytes, pieces and object runs per OST."""
+    nbytes = [0] * lay.stripe_count
+    pieces = [0] * lay.stripe_count
+    objects: list[list[tuple[int, int]]] = [[] for _ in range(lay.stripe_count)]
+    for ext in el:
+        offset = ext.offset
+        while offset < ext.end:
+            unit_end = lay.align_down(offset) + lay.stripe_unit
+            end = min(ext.end, unit_end)
+            ost = lay.ost_of(offset)
+            nbytes[ost] += end - offset
+            pieces[ost] += 1
+            stripe = offset // lay.stripe_unit
+            obj = (stripe // lay.stripe_count) * lay.stripe_unit + offset % lay.stripe_unit
+            objects[ost].append((obj, end - offset))
+            offset = end
+    runs = [len(ExtentList.from_pairs(pairs)) for pairs in objects]
+    return nbytes, pieces, runs
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5_000), st.integers(0, 300)),
+        min_size=0,
+        max_size=20,
+    ),
+    st.integers(1, 64),
+    st.integers(1, 7),
+)
+def test_property_ost_load_matches_per_unit_loop(pairs, unit, count):
+    lay = StripingLayout(unit, count)
+    el = ExtentList.from_pairs(pairs)  # single extents take the arithmetic path
+    load = lay.ost_load(el)
+    got = (load.bytes.tolist(), load.pieces.tolist(), load.runs.tolist())
+    assert got == _reference_ost_load(lay, el)

@@ -9,7 +9,7 @@ from repro.cluster import Cluster, NetworkModel, membw, scaled_testbed
 from repro.core import MemoryConsciousCollectiveIO, MemoryConsciousConfig
 from repro.io import CollectiveHints, TwoPhaseCollectiveIO, make_context
 from repro.io.domains import FileDomain
-from repro.io.shuffle import plan_exchange, shuffle_flows
+from repro.io.shuffle import ExchangeIndex, plan_exchange, shuffle_flows
 from repro.mpi import AccessRequest, SimComm, pattern_bytes
 from repro.util import Extent, ExtentList, kib, mib
 from repro.workloads import IORWorkload
@@ -34,8 +34,7 @@ class TestTwoLayerFlows:
             AccessRequest(1, ExtentList.single(100, 100)),
         ]
         domains = [_domain(0, 200, 6)]
-        cands = [[(r, r.extents) for r in reqs]]
-        return plan_exchange(cands, [domains[0].coverage], domains)
+        return plan_exchange(ExchangeIndex(reqs, domains), [domains[0].coverage])
 
     def test_merges_same_node_messages(self, comm):
         pieces = self._pieces(comm)
@@ -57,8 +56,7 @@ class TestTwoLayerFlows:
     def test_intra_node_unchanged(self, comm):
         reqs = [AccessRequest(0, ExtentList.single(0, 64))]
         domains = [_domain(0, 64, 1)]  # same node
-        cands = [[(r, r.extents) for r in reqs]]
-        pieces = plan_exchange(cands, [domains[0].coverage], domains)
+        pieces = plan_exchange(ExchangeIndex(reqs, domains), [domains[0].coverage])
         flows, intra, inter = shuffle_flows(pieces, comm, "write", two_layer=True)
         assert intra == 64 and inter == 0
         assert flows[0].charge_on(membw(0)) == 2 * 64

@@ -229,6 +229,54 @@ class TestShutdown:
         assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
+class TestReadDeadline:
+    @pytest.fixture
+    def short_deadline(self, monkeypatch):
+        from repro.serve import daemon as daemon_module
+
+        monkeypatch.setattr(daemon_module, "_READ_DEADLINE_S", 0.2)
+        service = PlannerService(None, pool="thread", pool_workers=1)
+        daemon = ServeDaemon(service, port=0)
+        try:
+            with daemon_in_thread(daemon):
+                yield daemon, service
+        finally:
+            service.close_sync()
+
+    def test_silent_and_partial_clients_are_cut_and_counted(self, short_deadline):
+        import socket
+
+        daemon, service = short_deadline
+        silent = b""
+        partial_header = b"POST /plan HTTP/1.1\r\nContent-Length: 10\r\n"
+        for sent in (silent, partial_header):
+            with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+                sock.sendall(sent)
+                # the daemon hangs up without answering
+                assert sock.recv(1024) == b""
+        client = ServeClient(daemon.url)
+        try:
+            status, data = client.request("GET", "/metrics")
+        finally:
+            client.close()
+        assert status == 200
+        assert data["counters"]["timeouts"] == 2
+        assert service.metrics.get("requests") == 1  # only /metrics
+
+    def test_client_redials_after_an_idle_cut(self, short_deadline):
+        import time
+
+        daemon, service = short_deadline
+        client = ServeClient(daemon.url)
+        try:
+            assert client.healthy()
+            time.sleep(0.5)  # idle past the deadline: the daemon hangs up
+            assert service.metrics.get("timeouts") == 1
+            assert client.healthy()
+        finally:
+            client.close()
+
+
 class TestDaemonConstruction:
     def test_needs_some_listener(self):
         service = PlannerService(pool="thread", pool_workers=1)
