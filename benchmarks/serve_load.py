@@ -16,7 +16,7 @@ Writes ``benchmarks/BENCH_serve.json`` (``--write``) with throughput,
 p50/p95/p99 request latency, and the server's hit/miss/reject/coalesce
 counters, and exits non-zero when ``--min-rps`` / ``--require-hit-rate``
 / the zero-verification-failure check fail — which is what the
-``serve-smoke`` CI job asserts::
+``perf-smoke`` CI job asserts::
 
     python benchmarks/serve_load.py --transport http --requests 200 \
         --distinct 10 --clients 2 --min-rps 50 --require-hit-rate 0.1

@@ -9,7 +9,7 @@ finishes inside the CI budget, cross-checking the plan's gross shape
 ``BENCH_planner_scaling.json``.
 
 Timing note: the wall-clock bound is deliberately loose (CI hardware is
-shared); the committed baseline plus the ``scaling-smoke`` CI job watch
+shared); the committed baseline plus the ``perf-smoke`` CI job watch
 for creeping regressions at the 2× level.
 """
 

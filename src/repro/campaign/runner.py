@@ -94,6 +94,8 @@ def run_experiment_record(
     cache_dir: str | None = None,
     retries: int = 0,
     cache_max_bytes: int | None = None,
+    *,
+    spec_hash: str | None = None,
 ) -> dict:
     """Execute one sweep point, returning its JSON-safe record.
 
@@ -102,7 +104,8 @@ def run_experiment_record(
     the point after an injected :class:`TransientFaultError`, salting
     the fault schedule with the attempt number; the final attempt's
     failure (if all retry budget is spent) is recorded with
-    ``status="error"`` and ``transient=True``.
+    ``status="error"`` and ``transient=True``. ``spec_hash`` passes in
+    the point's hash when the caller already computed it.
     """
     t0 = time.perf_counter()
     record: dict[str, Any] = {"index": index}
@@ -111,7 +114,7 @@ def run_experiment_record(
     backoffs: list[float] = []
     try:
         record["label"] = experiment.label()
-        key = experiment.spec_hash()
+        key = spec_hash if spec_hash is not None else experiment.spec_hash()
         record["spec_hash"] = key
         plan = None
         cache_state = None
@@ -195,14 +198,38 @@ def _timeout_entry(
     task: tuple[int, Experiment, str | None, int, int | None],
     queue: multiprocessing.Queue,
 ) -> None:  # pragma: no cover - exercised in a child process
-    queue.put(_pool_entry(task))
+    """Send the point's spec hash, then its record.
+
+    Hashing a spec touches the workload (every rank's extents), so it
+    runs here: a workload that hangs hangs this child, which the
+    supervisor can kill, never the supervisor itself.
+    """
+    index, experiment, cache_dir, retries, cache_max_bytes = task
+    try:
+        key: str | None = experiment.spec_hash()
+    except Exception:  # noqa: BLE001 — the record below reports it
+        key = None
+    queue.put(key)
+    queue.put(
+        run_experiment_record(
+            index, experiment, cache_dir, retries, cache_max_bytes,
+            spec_hash=key,
+        )
+    )
 
 
-def _timeout_record(index: int, experiment: Experiment, timeout_s: float) -> dict:
+def _timeout_record(
+    index: int, experiment: Experiment, timeout_s: float, spec_hash: str | None
+) -> dict:
+    """Error record for a point whose child gave no record.
+
+    ``spec_hash`` is what the child sent before it ran the point, or
+    ``None`` when it was killed (or died) while hashing.
+    """
     return {
         "index": index,
         "label": experiment.label(),
-        "spec_hash": experiment.spec_hash(),
+        "spec_hash": spec_hash,
         "status": "error",
         "cache": None,
         "result": None,
@@ -211,6 +238,22 @@ def _timeout_record(index: int, experiment: Experiment, timeout_s: float) -> dic
         "attempts": 1,
         "wall_s": timeout_s,
     }
+
+
+def _poll_child(queue: Any, key: list, *, wait_s: float) -> dict | None:
+    """The child's record if it has arrived; a spec hash lands in ``key[0]``.
+
+    ``wait_s`` > 0 waits that long for each item (the child has exited
+    and its last items may still be in the pipe).
+    """
+    while True:
+        try:
+            item = queue.get(timeout=wait_s) if wait_s > 0 else queue.get_nowait()
+        except Exception:  # noqa: BLE001 — queue.Empty or EOF
+            return None
+        if isinstance(item, dict):
+            return item
+        key[0] = item
 
 
 def _run_with_timeouts(
@@ -227,42 +270,41 @@ def _run_with_timeouts(
     """
     ctx = multiprocessing.get_context()
     pending = list(tasks)
-    running: list[tuple[Any, Any, float, tuple]] = []
+    # (process, queue, start time, task, [spec hash the child sent])
+    running: list[tuple[Any, Any, float, tuple, list]] = []
     while pending or running:
         while pending and len(running) < workers:
             task = pending.pop(0)
-            queue = ctx.Queue(1)
+            queue = ctx.Queue(2)
             proc = ctx.Process(target=_timeout_entry, args=(task, queue))
             proc.start()
-            running.append((proc, queue, time.perf_counter(), task))
+            running.append((proc, queue, time.perf_counter(), task, [None]))
         time.sleep(0.01)
         still = []
-        for proc, queue, started, task in running:
-            if not queue.empty():
-                consume(queue.get())
+        for proc, queue, started, task, key in running:
+            record = _poll_child(queue, key, wait_s=0.0)
+            if record is not None:
+                consume(record)
                 proc.join()
             elif not proc.is_alive():
                 # Exited: the record may still be in the pipe buffer.
-                try:
-                    consume(queue.get(timeout=0.2))
-                except Exception:  # noqa: BLE001 — queue.Empty or EOF
+                record = _poll_child(queue, key, wait_s=0.2)
+                if record is None:
                     # Died without producing a record (crash / OOM-kill).
-                    index, experiment = task[0], task[1]
-                    rec = _timeout_record(index, experiment, 0.0)
-                    rec["error"] = (
+                    record = _timeout_record(task[0], task[1], 0.0, key[0])
+                    record["error"] = (
                         f"RuntimeError: worker process died with exit code "
                         f"{proc.exitcode}"
                     )
-                    rec["wall_s"] = time.perf_counter() - started
-                    consume(rec)
+                    record["wall_s"] = time.perf_counter() - started
+                consume(record)
                 proc.join()
             elif time.perf_counter() - started > timeout_s:
                 proc.terminate()
                 proc.join()
-                index, experiment = task[0], task[1]
-                consume(_timeout_record(index, experiment, timeout_s))
+                consume(_timeout_record(task[0], task[1], timeout_s, key[0]))
             else:
-                still.append((proc, queue, started, task))
+                still.append((proc, queue, started, task, key))
         running = still
 
 

@@ -298,15 +298,20 @@ def place_group(
     assigned: dict[int, Assignment] = {}  # id(leaf) -> assignment
     remerged_ids: set[int] = set()  # id(leaf) for remerge takers
 
+    # The first unassigned leaf in tree order only moves forward until a
+    # remerge reshapes the tree, so the leaves are walked once per shape.
+    leaves = tree.leaves()
+    pos = 0
     guard = 4 * max(tree.n_leaves, 1) + 8
     while True:
         guard -= 1
         if guard < 0:
             raise PlacementError("placement failed to converge")
-        pending = [l for l in tree.leaves() if id(l) not in assigned]
-        if not pending:
+        while pos < len(leaves) and id(leaves[pos]) in assigned:
+            pos += 1
+        if pos == len(leaves):
             break
-        leaf = pending[0]
+        leaf = leaves[pos]
         covered = leaf.covered_bytes
         hosts = candidates.for_leaf(leaf)
         if not hosts:
@@ -333,6 +338,8 @@ def place_group(
                     _slot_of(plan, prior.slot_id).load -= (
                         taker.covered_bytes - covered
                     )
+                leaves = tree.leaves()
+                pos = 0
                 continue
             slot = plan.best_anywhere(covered)
             stats.n_fallbacks += 1
@@ -346,7 +353,7 @@ def place_group(
             remerged=id(leaf) in remerged_ids,
         )
 
-    assignments = [assigned[id(leaf)] for leaf in tree.leaves()]
+    assignments = [assigned[id(leaf)] for leaf in leaves]
     stats.n_domains += len(assignments)
     return assignments, stats
 

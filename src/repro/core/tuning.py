@@ -70,7 +70,7 @@ def _node_bandwidth(
     for a in range(n_aggs):
         extents = ExtentList.single(a * msg, msg)
         flows.extend(
-            pfs.access_flows(0, extents, "write", label=f"tune:{a}", stream=a)
+            pfs.access_flow_list(0, extents, "write", label=f"tune:{a}", stream=a)
         )
         caps.setdefault(pfs.stream_key(a), pfs.stream_capacity("write"))
     out = solve_phase(flows, caps)
@@ -131,7 +131,7 @@ def tune_group(
             node_id = cluster.node_id_of_rank(a)
             extents = ExtentList.single(a * msg_ind, msg_ind)
             flows.extend(
-                pfs.access_flows(node_id, extents, "write", stream=a)
+                pfs.access_flow_list(node_id, extents, "write", stream=a)
             )
             caps.setdefault(pfs.stream_key(a), pfs.stream_capacity("write"))
         out = solve_phase(flows, caps)

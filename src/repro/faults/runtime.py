@@ -78,6 +78,10 @@ class FaultState:
             factor *= f
         return factor
 
+    def active_keys(self) -> set[Hashable]:
+        """Every key that may have a derate other than 1 right now."""
+        return set(self._paging) | {k for k, v in self._derates.items() if v}
+
     @property
     def any_active(self) -> bool:
         return bool(self._paging) or any(self._derates.values())

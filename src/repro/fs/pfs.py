@@ -5,21 +5,23 @@ per-request service overhead, and (optionally) byte-accurate
 :class:`~repro.fs.file_image.FileImage` contents.
 
 The PFS does not time anything itself — it *prices* accesses by emitting
-:class:`~repro.sim.flows.Flow` objects and request-overhead terms that
-the I/O strategies combine with network flows into phases. That keeps
-contention between the shuffle and the storage path in one solver.
+flows (as :class:`~repro.sim.flows.Charges` columns for the round
+engine, as :class:`~repro.sim.flows.Flow` objects for the phase solver)
+with request-overhead terms that the I/O strategies combine with network
+flows into phases. That keeps contention between the shuffle and the
+storage path in one model.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from typing import Literal
 
 import numpy as np
 
 from ..cluster.machine import StorageSpec
 from ..cluster.network import BISECTION, membw, nic_in, nic_out
-from ..sim.flows import Flow
+from ..sim.flows import Charges, Flow, ResourceIds
 from ..util.errors import FileSystemError
 from ..util.intervals import ExtentList
 from .file_image import FileImage
@@ -110,6 +112,59 @@ class ParallelFileSystem:
 
     def access_flows(
         self,
+        nodes: np.ndarray,
+        windows: Sequence[ExtentList],
+        kind: IOKind,
+        ids: ResourceIds,
+        *,
+        streams: np.ndarray,
+    ) -> tuple[Charges, OSTLoad]:
+        """Charges of one round's windows, each accessed by one client.
+
+        Window ``w`` is accessed from node ``nodes[w]`` by stream
+        ``streams[w]`` (see :meth:`stream_key`). All windows are cut at
+        stripe boundaries in one pass. Each busy (window, OST) pair is
+        one flow of six charges, flows ordered by window, then OST:
+        its bytes on the client's memory bus, its NIC, the fabric core,
+        the OST (plus the service overhead, see :meth:`_ost_bytes`), the
+        PFS backplane and the stream. Segment ``w`` of the returned
+        :class:`~repro.sim.flows.Charges` is window ``w``'s flows; the
+        :class:`OSTLoad` is every window's load summed, for
+        :meth:`account_access`.
+        """
+        rows = self.layout.window_loads(windows)
+        nbytes = rows.bytes.astype(np.float64)
+        node = nodes[rows.window]
+        nic = nic_out if kind == "write" else nic_in
+        key_ids = np.stack(
+            [
+                ids.column(membw, node),
+                ids.column(nic, node),
+                np.full(node.size, ids[BISECTION]),
+                ids.column(ost_key, rows.ost),
+                np.full(node.size, ids[PFS_BACKPLANE]),
+                ids.column(self.stream_key, streams[rows.window]),
+            ],
+            axis=1,
+        )
+        amounts = np.stack(
+            [
+                nbytes,
+                nbytes,
+                nbytes,
+                self._ost_bytes(rows.bytes, rows.runs, kind),
+                nbytes,
+                nbytes,
+            ],
+            axis=1,
+        )
+        window = np.arange(len(windows))
+        starts = key_ids.shape[1] * np.searchsorted(rows.window, window)
+        charges = Charges(key_ids.ravel(), amounts.ravel(), starts, window)
+        return charges, rows.total(self.storage.n_osts)
+
+    def access_flow_list(
+        self,
         node_id: int,
         access: ExtentList | OSTLoad,
         kind: IOKind,
@@ -117,54 +172,50 @@ class ParallelFileSystem:
         label: str = "",
         stream: Hashable | None = None,
     ) -> list[Flow]:
-        """Flows for one client node accessing ``access``.
+        """:class:`~repro.sim.flows.Flow` objects for one client accessing ``access``.
 
         ``access`` is an extent set, or its :meth:`StripingLayout.ost_load`
-        when the caller also accounts it (so the set is split once).
-
-        A write flow crosses: the client's memory bus (buffer read-out),
-        its NIC injection, the fabric core, the target OST, and the PFS
-        backplane. Reads mirror the path through NIC ejection.
-
-        ``stream`` identifies the issuing client process; all its flows
-        additionally share a per-stream resource capped at
-        ``client_stream_bandwidth`` (add the matching capacity with
-        :meth:`stream_key` / :meth:`stream_capacity`).
+        when the caller also accounts it (so the set is split once). One
+        flow per busy OST, crossing what :meth:`access_flows` charges:
+        the client's memory bus, its NIC (injection for writes, ejection
+        for reads), the fabric core, the OST and the PFS backplane, plus
+        the ``stream`` resource when one is given (add the matching
+        capacity with :meth:`stream_key` / :meth:`stream_capacity`).
         """
         load = self._load(access)
         busy = np.flatnonzero(load.bytes)
-        if busy.size == 0:
-            return []
         nic = nic_out(node_id) if kind == "write" else nic_in(node_id)
-        factor = self.storage.read_factor if kind == "read" else 1.0
-        per_ost_cap = self.storage.ost_bandwidth * factor
         stream_res = (self.stream_key(stream),) if stream is not None else ()
         flows: list[Flow] = []
         for ost, nbytes, runs in zip(
             busy.tolist(), load.bytes[busy].tolist(), load.runs[busy].tolist()
         ):
             key = ost_key(ost)
-            # Each contiguous object run pays the per-request service
-            # overhead at the OST; expressed as extra effective bytes so
-            # the flow solver sees one consistent load.
-            service_s = float(runs) * self.storage.request_overhead
-            overhead_bytes = service_s * per_ost_cap
             flows.append(
                 Flow(
                     size=float(nbytes),
-                    resources=(
-                        membw(node_id),
-                        nic,
-                        BISECTION,
-                        key,
-                        PFS_BACKPLANE,
-                    )
+                    resources=(membw(node_id), nic, BISECTION, key, PFS_BACKPLANE)
                     + stream_res,
                     label=label or f"{kind}:node{node_id}:ost{ost}",
-                    resource_sizes={key: float(nbytes) + overhead_bytes},
+                    resource_sizes={key: self._ost_bytes(nbytes, runs, kind)},
                 )
             )
         return flows
+
+    def _ost_bytes(
+        self, nbytes: int | np.ndarray, runs: int | np.ndarray, kind: IOKind
+    ) -> float | np.ndarray:
+        """What ``nbytes`` in ``runs`` object runs charge their OST.
+
+        Each contiguous object run pays the per-request service overhead
+        at the OST; it is expressed as extra effective bytes, so the flow
+        solver sees one consistent load. Takes integers or int64 arrays
+        (one element per flow) and does the same float operations on
+        either.
+        """
+        factor = self.storage.read_factor if kind == "read" else 1.0
+        per_ost_cap = self.storage.ost_bandwidth * factor
+        return nbytes + runs * self.storage.request_overhead * per_ost_cap
 
     def _load(self, access: ExtentList | OSTLoad) -> OSTLoad:
         return self.layout.ost_load(access) if isinstance(access, ExtentList) else access

@@ -10,11 +10,14 @@ server request across OSTs.
 All the mapping operations here are vectorized over
 :class:`~repro.util.intervals.ExtentList` sets: an access set is cut at
 stripe-unit boundaries once (:meth:`StripingLayout.ost_load`), and a
-single contiguous range is priced by arithmetic without any cut.
+single contiguous range is priced by arithmetic without any cut. A batch
+of access sets (one round's windows) is cut in one pass too
+(:meth:`StripingLayout.window_loads`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +26,7 @@ from ..util.errors import StripingError
 from ..util.intervals import ExtentList
 from ..util.validation import check_positive
 
-__all__ = ["OSTLoad", "StripingLayout"]
+__all__ = ["OSTLoad", "OSTRows", "StripingLayout"]
 
 
 class OSTLoad(NamedTuple):
@@ -34,6 +37,29 @@ class OSTLoad(NamedTuple):
     pieces: np.ndarray
     #: contiguous runs in each OST's object: requests a client issues
     runs: np.ndarray
+
+
+class OSTRows(NamedTuple):
+    """Per-(window, OST) totals of a batch of access sets.
+
+    One row per pair with bytes, ordered by window, then OST; the columns
+    are int64 arrays and mean what :class:`OSTLoad`'s do.
+    """
+
+    window: np.ndarray
+    ost: np.ndarray
+    bytes: np.ndarray
+    pieces: np.ndarray
+    runs: np.ndarray
+
+    def total(self, stripe_count: int) -> OSTLoad:
+        """The batch's :class:`OSTLoad`: every window's rows summed per OST."""
+        out = []
+        for column in (self.bytes, self.pieces, self.runs):
+            summed = np.zeros(stripe_count, dtype=np.int64)
+            np.add.at(summed, self.ost, column)
+            out.append(summed)
+        return OSTLoad(*out)
 
 
 class StripingLayout:
@@ -70,17 +96,23 @@ class StripingLayout:
         each piece lies inside one stripe unit, so it maps to exactly one
         OST and is one server request.
         """
+        _, stripe, ps, pe = self._cut(extents.starts, extents.ends)
+        return stripe % self.stripe_count, ps, pe
+
+    def _cut(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(extent, stripe, start, end)`` of each stripe-unit piece."""
         unit = self.stripe_unit
-        starts, ends = extents.starts, extents.ends
         first = starts // unit
         counts = (ends - 1) // unit - first + 1
-        total = int(counts.sum())
         owner = np.repeat(np.arange(starts.size), counts)
-        offset = np.cumsum(counts) - counts
-        stripe = first[owner] + (np.arange(total) - offset[owner])
+        stripe = first[owner] + (
+            np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        )
         ps = np.maximum(starts[owner], stripe * unit)
         pe = np.minimum(ends[owner], (stripe + 1) * unit)
-        return stripe % self.stripe_count, ps, pe
+        return owner, stripe, ps, pe
 
     def split_by_ost(self, extents: ExtentList) -> list[ExtentList]:
         """Per-OST extent lists (index = OST id). Union equals input."""
@@ -101,25 +133,46 @@ class StripingLayout:
         (``pieces``) — this is what lets large collective buffers amortize
         per-request overhead.
         """
-        count = self.stripe_count
         if len(extents) == 1:
             return self._contiguous_load(int(extents.starts[0]), int(extents.ends[0]))
-        ost, ps, pe = self.split_pieces(extents)
+        return self.window_loads([extents]).total(self.stripe_count)
+
+    def window_loads(self, windows: Sequence[ExtentList]) -> OSTRows:
+        """:meth:`ost_load` of every window at once, as busy rows.
+
+        All windows' extents are cut at stripe-unit boundaries together;
+        one sort by (window, OST, object offset) then counts every
+        window's object runs.
+        """
+        count = self.stripe_count
+        sizes = np.fromiter((len(w) for w in windows), np.int64, len(windows))
+        if not sizes.sum():
+            empty = np.empty(0, dtype=np.int64)
+            return OSTRows(empty, empty, empty, empty, empty)
+        starts = np.concatenate([w.starts for w in windows])
+        ends = np.concatenate([w.ends for w in windows])
+        tag = np.repeat(np.arange(sizes.size), sizes)
+        owner, stripe, ps, pe = self._cut(starts, ends)
+        group = tag[owner] * count + stripe % count
         unit = self.stripe_unit
-        obj_start = (ps // unit // count) * unit + ps % unit
+        obj_start = (stripe // count) * unit + ps % unit
         obj_end = obj_start + (pe - ps)
-        order = np.lexsort((obj_start, ost))
-        ost, obj_start, obj_end = ost[order], obj_start[order], obj_end[order]
-        # Pieces are disjoint, so within one OST a run ends wherever the
-        # next piece does not start exactly at the previous piece's end.
-        new_run = np.ones(ost.size, dtype=bool)
-        new_run[1:] = (ost[1:] != ost[:-1]) | (obj_start[1:] != obj_end[:-1])
-        nbytes = np.zeros(count, dtype=np.int64)
-        np.add.at(nbytes, ost, obj_end - obj_start)
-        return OSTLoad(
-            nbytes,
-            np.bincount(ost, minlength=count),
-            np.bincount(ost[new_run], minlength=count),
+        order = np.lexsort((obj_start, group))
+        group, obj_start, obj_end = group[order], obj_start[order], obj_end[order]
+        new_row = np.ones(group.size, dtype=bool)
+        new_row[1:] = group[1:] != group[:-1]
+        # Pieces of one window are disjoint, so within a row a run ends
+        # wherever the next piece does not start at the previous end.
+        new_run = new_row.copy()
+        new_run[1:] |= obj_start[1:] != obj_end[:-1]
+        row = np.flatnonzero(new_row)
+        keys = group[row]
+        return OSTRows(
+            keys // count,
+            keys % count,
+            np.add.reduceat(obj_end - obj_start, row),
+            np.diff(row, append=group.size),
+            np.add.reduceat(new_run.astype(np.int64), row),
         )
 
     def _contiguous_load(self, lo: int, hi: int) -> OSTLoad:

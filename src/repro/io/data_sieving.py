@@ -72,7 +72,7 @@ class DataSievingIO(IOStrategy):
                 if kind == "read" or has_holes:
                     # Read the full chunk (sieving read / RMW read).
                     read_flows.extend(
-                        ctx.pfs.access_flows(
+                        ctx.pfs.access_flow_list(
                             node, chunk, "read",
                             label=f"sieve-r:{req.rank}", stream=req.rank,
                         )
@@ -86,7 +86,7 @@ class DataSievingIO(IOStrategy):
                     # filled holes, just the data when it was solid.
                     out = chunk if has_holes else covered
                     write_flows.extend(
-                        ctx.pfs.access_flows(
+                        ctx.pfs.access_flow_list(
                             node, out, "write",
                             label=f"sieve-w:{req.rank}", stream=req.rank,
                         )

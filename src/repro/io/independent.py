@@ -52,7 +52,7 @@ class IndependentIO(IOStrategy):
                 continue
             node = ctx.comm.node_of(req.rank)
             flows.extend(
-                ctx.pfs.access_flows(
+                ctx.pfs.access_flow_list(
                     node, req.extents, kind, label=f"ind:{req.rank}", stream=req.rank
                 )
             )

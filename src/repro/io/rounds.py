@@ -85,9 +85,9 @@ buffers, groups) and not from divergent cost accounting.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from itertools import groupby
-from operator import attrgetter
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..cluster.network import BISECTION, membw, nic_in, nic_out
 from ..cluster.remote_pool import RemotePool, pool_link
@@ -109,7 +109,7 @@ from ..metrics.telemetry import (
     Telemetry,
 )
 from ..mpi.requests import AccessRequest
-from ..sim.flows import Flow
+from ..sim.flows import ChargeLedger, ResourceIds
 from ..sim.trace import TraceRecorder
 from ..util.errors import CollectiveIOError
 from ..util.intervals import ExtentList
@@ -194,6 +194,67 @@ def _move_data(
                 req.scatter_payload(piece.piece, data)
 
 
+class _Remaining:
+    """Each domain's remaining coverage: its coverage and a byte cursor.
+
+    Rounds take windows off the front by moving the cursor; a
+    single-extent coverage is windowed by arithmetic, any other by two
+    searches in its cumulative extent lengths. Indexing builds the
+    remaining coverage as an :class:`ExtentList`, for the readers that
+    need one (the degradation controller); :meth:`install` replaces a
+    domain's coverage (a remerge) and resets its cursor.
+    """
+
+    __slots__ = ("coverage", "cursor", "total", "_ranks")
+
+    def __init__(self, coverages: Sequence[ExtentList]) -> None:
+        self.coverage = list(coverages)
+        self.cursor = [0] * len(self.coverage)
+        self.total = [c.total for c in self.coverage]
+        # Per coverage, the byte rank where each extent ends; built when
+        # a multi-extent coverage is first windowed.
+        self._ranks: list[np.ndarray | None] = [None] * len(self.coverage)
+
+    def left(self, i: int) -> int:
+        """Bytes of domain ``i``'s coverage no window has taken yet."""
+        return self.total[i] - self.cursor[i]
+
+    def window(self, i: int, nbytes: int) -> ExtentList:
+        """The next ``nbytes`` of domain ``i``'s remaining coverage.
+
+        The same extents as ``coverage.slice_bytes(cursor, cursor +
+        nbytes)``.
+        """
+        coverage, lo = self.coverage[i], self.cursor[i]
+        hi = min(lo + nbytes, self.total[i])
+        if len(coverage) == 1:
+            return ExtentList.single(int(coverage.starts[0]) + lo, hi - lo)
+        ranks = self._ranks[i]
+        if ranks is None:
+            ranks = self._ranks[i] = np.cumsum(coverage.lengths)
+        first = int(ranks.searchsorted(lo, side="right"))
+        last = int(ranks.searchsorted(hi, side="left")) + 1
+        starts = coverage.starts[first:last].copy()
+        ends = coverage.ends[first:last].copy()
+        starts[0] = ends[0] - (ranks[first] - lo)
+        ends[-1] -= ranks[last - 1] - hi
+        return ExtentList(starts, ends, _trusted=True)
+
+    def advance(self, i: int, nbytes: int) -> None:
+        self.cursor[i] += nbytes
+
+    def install(self, i: int, coverage: ExtentList) -> None:
+        self.coverage[i] = coverage
+        self.cursor[i] = 0
+        self.total[i] = coverage.total
+        self._ranks[i] = None
+
+    def __getitem__(self, i: int) -> ExtentList:
+        if not self.cursor[i]:
+            return self.coverage[i]
+        return self.coverage[i].slice_bytes(self.cursor[i], self.total[i])
+
+
 class _DegradationController:
     """Reaction side of the fault layer, operating on live engine state.
 
@@ -209,7 +270,7 @@ class _DegradationController:
         faults: FaultRuntime,
         ctx: IOContext,
         domains: Sequence[FileDomain],
-        remaining: list[ExtentList],
+        remaining: _Remaining,
         buffers: list[int],
         index: ExchangeIndex,
         caps: dict[Hashable, float],
@@ -238,6 +299,15 @@ class _DegradationController:
     def eff_cap(self, key: Hashable) -> float:
         """Capacity of ``key`` after active fault derates."""
         return self.caps[key] / self.faults.state.derate(key)
+
+    def derates(self, ids: ResourceIds) -> np.ndarray:
+        """Every resource id's active derate (1.0 where none is active)."""
+        state = self.faults.state
+        out = np.ones(len(ids))
+        for key in state.active_keys():
+            if key in ids:
+                out[ids[key]] = state.derate(key)
+        return out
 
     # ------------------------------------------------------------- rounds
     def begin_round(self, now: float, round_index: int) -> float:
@@ -293,7 +363,7 @@ class _DegradationController:
         node = self.ctx.cluster.nodes[node_id]
         cost = 0.0
         for i, domain in enumerate(self.domains):
-            if i in self.released or self.remaining[i].is_empty:
+            if i in self.released or not self.remaining.left(i):
                 continue
             if self.ctx.comm.node_of(domain.aggregator) != node_id:
                 continue
@@ -328,7 +398,7 @@ class _DegradationController:
         lever was the minimum-priced feasible one.
         """
         local = self.buffers[i] - self.borrows[i]
-        remaining = self.remaining[i].total
+        remaining = self.remaining.left(i)
         recoord = self._recoordination_time(i)
         fit = max(0, headroom)
         deficit = local - fit
@@ -482,9 +552,9 @@ class _DegradationController:
         """Hand domain ``i``'s remaining coverage to a neighbour with room."""
         if taker is None:
             return self._page(i, node, now, round_index)
-        moved = self.remaining[i].total
-        self.remaining[taker] = self.remaining[taker].union(self.remaining[i])
-        self.remaining[i] = ExtentList.empty()
+        moved = self.remaining.left(i)
+        self.remaining.install(taker, self.remaining[taker].union(self.remaining[i]))
+        self.remaining.install(i, ExtentList.empty())
         self.index.remerge(i, taker)
         node.memory.release(f"aggbuf:{i}")
         if self.pool is not None and self.borrows[i] > 0:
@@ -531,7 +601,7 @@ class _DegradationController:
                 continue  # already oversubscribed; don't pile on
             env_j = (
                 self.remaining[j].envelope()
-                if not self.remaining[j].is_empty
+                if self.remaining.left(j)
                 else domain.region
             )
             gap = float(
@@ -630,7 +700,7 @@ class _DegradationController:
             )
         )
         self.telemetry.count("recoveries_evict")
-        if i in self.released or self.remaining[i].is_empty:
+        if i in self.released or not self.remaining.left(i):
             return 0.0  # domain already done or remerged away
         node_id = self.ctx.comm.node_of(self.domains[i].aggregator)
         node = self.ctx.cluster.nodes[node_id]
@@ -738,14 +808,16 @@ def execute_collective(
         sync_time = ctx.comm.barrier_time()
         domain_sync = [sync_time for _ in domains]
 
-    # Aggregate byte loads per resource (for the resource lower bound)
-    # and per-aggregator serial chains (for the critical-path bound).
-    resource_load: dict[Hashable, float] = {}
+    # Columnar charging: every resource key gets a dense id once per run,
+    # and each round's flows arrive as (id, bytes) columns.
+    ids = ResourceIds(caps)
+    # Per-aggregator serial chains (for the critical-path bound).
     chain_time = [0.0 for _ in domains]
     latency_total = 0.0
     recovery_total = 0.0
     shuffle_bytes_total = 0
     io_bytes_total = 0
+    agg_nodes = ctx.comm.nodes_of([d.aggregator for d in domains])
 
     telemetry = Telemetry()
     telemetry.set_capacities(caps)
@@ -753,15 +825,13 @@ def execute_collective(
         telemetry.record_paging(node_id, slowdown)
     telemetry.count("paged_nodes", len(slowdowns))
     telemetry.count("domains", len(domains))
-    telemetry.count(
-        "aggregator_nodes", len({ctx.comm.node_of(d.aggregator) for d in domains})
-    )
+    telemetry.count("aggregator_nodes", len(set(agg_nodes.tolist())))
 
-    # Degradation state: windows are sliced off the front of each
-    # domain's remaining coverage, so shrinks (smaller slices) and
+    # Degradation state: windows are taken off the front of each
+    # domain's remaining coverage, so shrinks (smaller windows) and
     # remerges (remaining moved to a neighbour) compose naturally. With
     # no faults this reduces exactly to ``domain.window(r)``.
-    remaining: list[ExtentList] = [d.coverage for d in domains]
+    remaining = _Remaining([d.coverage for d in domains])
     buffers: list[int] = [d.buffer_bytes for d in domains]
     released: set[int] = set()
     # Live borrow ledger per domain, seeded from what _allocate_buffers
@@ -784,7 +854,6 @@ def execute_collective(
         floor = max(1, min([controller.shrink_floor, *(b for b in buffers if b > 0)]))
         total_cov = sum(d.covered_bytes for d in domains)
         max_rounds = planned_rounds + 16 + total_cov // floor
-    cap_of = caps.__getitem__ if controller is None else controller.eff_cap
     two_layer = ctx.hints.two_layer_shuffle
     # Under two-layer coordination an aggregator rank that owns several
     # domains merges each source node's bytes across all of them into one
@@ -798,59 +867,35 @@ def execute_collective(
         and len({d.aggregator for d in domains}) < len(domains)
     )
 
-    # Derate-weighted twin of ``resource_load``: while a stall/OST fault
-    # is active, each byte crossing the derated resource counts for
-    # ``derate`` bytes of drain work, so transient capacity loss shows up
-    # in the aggregate bound too (identical to the nominal load when no
-    # fault is ever active — unfaulted runs alias the same dict).
-    resource_load_eff: dict[Hashable, float] = (
-        resource_load if controller is None else {}
-    )
+    # Run-wide loads per resource (for the resource lower bound), plus a
+    # derate-weighted twin: while a stall/OST fault is active, each byte
+    # crossing the derated resource counts for ``derate`` bytes of drain
+    # work, so transient capacity loss shows up in the aggregate bound
+    # too (unfaulted runs alias the nominal load).
+    ledger = ChargeLedger(ids, derated=controller is not None)
 
-    def _eff_bound() -> float:
-        return max(
-            (load / caps[key] for key, load in resource_load_eff.items()),
-            default=0.0,
-        )
-
-    def _charge(flows: list[Flow], round_load: dict[Hashable, float]) -> None:
-        """Add the flows' charges to the run's loads and to this round's."""
-        derate = controller.faults.state.derate if controller is not None else None
-        for flow in flows:
-            sizes = flow.resource_sizes
-            for key in flow.resources:
-                charge = sizes[key] if sizes and key in sizes else flow.size
-                resource_load[key] = resource_load.get(key, 0.0) + charge
-                round_load[key] = round_load.get(key, 0.0) + charge
-                if derate is not None:
-                    resource_load_eff[key] = resource_load_eff.get(
-                        key, 0.0
-                    ) + charge * derate(key)
-
-    def _drain_time(flows: list[Flow], round_load: dict[Hashable, float]) -> float:
-        """Drain time of the most-loaded resource the flows touch."""
-        keys = dict.fromkeys(key for flow in flows for key in flow.resources)
-        return max((round_load[key] / cap_of(key) for key in keys), default=0.0)
-
+    empty = ExtentList.empty()
     r = 0
     try:
         while True:
+            derate = None
             if controller is not None:
                 # Progress estimate so far: same expression as the final
                 # makespan, evaluated on the rounds already executed.
                 now = (
-                    max(max(chain_time, default=0.0), _eff_bound())
+                    max(max(chain_time, default=0.0), ledger.bound(ledger.derated))
                     + latency_total
                     + recovery_total
                 )
                 recovery_total += controller.begin_round(now, r)
+                derate = controller.derates(ids)
             windows = [
-                ExtentList.empty()
-                if (i in released or remaining[i].is_empty)
-                else remaining[i].slice_bytes(0, buffers[i])
+                empty
+                if (i in released or not remaining.left(i))
+                else remaining.window(i, buffers[i])
                 for i in range(len(domains))
             ]
-            active = [(i, w, w.total) for i, w in enumerate(windows) if not w.is_empty]
+            active = [i for i, w in enumerate(windows) if not w.is_empty]
             if not active:
                 break
             if r >= max_rounds:
@@ -859,75 +904,63 @@ def execute_collective(
                     f"(planned {planned_rounds}); degradation runaway?"
                 )
             pieces = plan_exchange(index, windows, with_extents=track)
-            # Each domain's flows are built once; the round's flows are
-            # their concatenation in domain order, the flow list of all
-            # pieces at once (see merge_across_domains for the exception).
-            sh_flows: list[Flow] = []
-            flows_by_domain: dict[int, list[Flow]] = {}
-            msgs_by_domain: dict[int, int] = {}
-            intra = inter = 0
-            for d_idx, group in groupby(pieces, key=attrgetter("domain_index")):
-                d_pieces = list(group)
-                flows, d_intra, d_inter = shuffle_flows(
-                    d_pieces, ctx.comm, kind, two_layer=two_layer
-                )
-                flows_by_domain[d_idx] = flows
-                # Messages per aggregator: merged flows under two-layer
-                # coordination, raw pieces otherwise.
-                msgs_by_domain[d_idx] = len(flows) if two_layer else len(d_pieces)
-                sh_flows += flows
-                intra += d_intra
-                inter += d_inter
-            if merge_across_domains:
-                sh_flows, _, _ = shuffle_flows(
-                    pieces, ctx.comm, kind, two_layer=True
-                )
-            intra_total += intra
-            inter_total += inter
-            shuffle_bytes_total += intra + inter
+            shuffle = shuffle_flows(
+                pieces, ctx.comm, kind, ids,
+                two_layer=two_layer, merge_across_domains=merge_across_domains,
+            )
+            intra_total += shuffle.intra
+            inter_total += shuffle.inter
+            shuffle_bytes_total += shuffle.intra + shuffle.inter
 
             # Per-round contended loads, then each domain pays the drain
             # time of the most-loaded resource its own flows touch.
-            round_sh_load: dict[Hashable, float] = {}
-            _charge(sh_flows, round_sh_load)
-            round_io_load: dict[Hashable, float] = {}
-            io_flows_by_domain: dict[int, list[Flow]] = {}
-            round_io_bytes = 0
-            for i, window, nbytes in active:
-                agg_node = ctx.comm.node_of(domains[i].aggregator)
-                load = ctx.pfs.layout.ost_load(window)  # split once, used twice
-                io_flows = ctx.pfs.access_flows(
-                    agg_node, load, kind, label=f"io:d{i}:r{r}", stream=i
+            round_sh, sh_by_key = ledger.charge(
+                shuffle.charges if shuffle.merged is None else shuffle.merged, derate
+            )
+            act = np.asarray(active)
+            io, load = ctx.pfs.access_flows(
+                agg_nodes[act], [windows[i] for i in active], kind, ids, streams=act
+            )
+            ctx.pfs.account_access(load, kind)
+            sizes = [windows[i].total for i in active]
+            round_io_bytes = sum(sizes)
+            io_bytes_total += round_io_bytes
+            if pool is not None:
+                # The borrowed share of a round's window crosses its pool
+                # access link twice: staged in during the shuffle, read
+                # back for the I/O phase. The charge joins the domain's
+                # I/O flows, so its drain time counts too.
+                lenders = [k for k, i in enumerate(active) if borrows[i] > 0]
+                links = [borrow_links[active[k]] for k in lenders]
+                staged = [
+                    2.0 * sizes[k] * borrows[active[k]] / max(buffers[active[k]], 1)
+                    for k in lenders
+                ]
+                io = io.extend_segments(
+                    lenders, ids.column(pool_link, np.asarray(links, np.int64)), staged
                 )
-                io_flows_by_domain[i] = io_flows
-                ctx.pfs.account_access(load, kind)
-                io_bytes_total += nbytes
-                round_io_bytes += nbytes
-                _charge(io_flows, round_io_load)
-                if pool is not None and borrows[i] > 0:
-                    # The borrowed share of this round's window crosses
-                    # its pool access link twice: staged in during the
-                    # shuffle, read back for the I/O phase.
-                    staged = 2.0 * nbytes * borrows[i] / max(buffers[i], 1)
-                    _charge([Flow(staged, (pool_link(borrow_links[i]),))], round_io_load)
+            round_io, io_by_key = ledger.charge(io, derate)
 
             # Message-startup latency is paid per round at *this* round's
             # per-aggregator message count — a dense first round must not
             # re-bill every later (sparser) round at its own count.
-            round_max_msgs = max(msgs_by_domain.values(), default=0)
+            round_max_msgs = max(shuffle.messages.values(), default=0)
             round_latency = ctx.network.message_latency(round_max_msgs)
             latency_total += round_latency
 
+            eff_cap = ids.caps if derate is None else ids.caps / derate
+            sh_costs = dict(
+                zip(
+                    shuffle.charges.owners.tolist(),
+                    shuffle.charges.drain_times(round_sh, eff_cap).tolist(),
+                )
+            )
+            io_costs = io.drain_times(round_io, eff_cap).tolist()
             round_costs: list[DomainRoundCost] = []
-            for i, _, _ in active:
-                sh_cost = _drain_time(flows_by_domain.get(i, []), round_sh_load)
-                io_cost = _drain_time(io_flows_by_domain[i], round_io_load)
+            for i, io_cost in zip(active, io_costs):
+                sh_cost = sh_costs.get(i, 0.0)
                 if pool is not None and borrows[i] > 0:
-                    link_key = pool_link(borrow_links[i])
-                    io_cost = (
-                        max(io_cost, round_io_load[link_key] / cap_of(link_key))
-                        + pool.spec.latency_s
-                    )
+                    io_cost += pool.spec.latency_s
                 chain_time[i] += sh_cost + io_cost + domain_sync[i]
                 round_costs.append(
                     DomainRoundCost(
@@ -935,19 +968,19 @@ def execute_collective(
                         shuffle_s=sh_cost,
                         io_s=io_cost,
                         sync_s=domain_sync[i],
-                        messages=msgs_by_domain.get(i, 0),
+                        messages=shuffle.messages.get(i, 0),
                     )
                 )
             telemetry.add_round(
                 RoundRecord(
                     index=r,
-                    shuffle_intra_bytes=intra,
-                    shuffle_inter_bytes=inter,
+                    shuffle_intra_bytes=shuffle.intra,
+                    shuffle_inter_bytes=shuffle.inter,
                     io_bytes=round_io_bytes,
                     latency_s=round_latency,
                     max_messages=round_max_msgs,
-                    shuffle_resource_bytes=round_sh_load,
-                    io_resource_bytes=round_io_load,
+                    shuffle_resource_bytes=sh_by_key,
+                    io_resource_bytes=io_by_key,
                     domain_costs=round_costs,
                 )
             )
@@ -962,30 +995,27 @@ def execute_collective(
                 _move_data(file, with_data, kind)
             elif kind == "write":
                 # Even without byte tracking, the file's logical size grows.
-                for i, window, _ in active:
-                    file.apply_write(window, None)
+                for i in active:
+                    file.apply_write(windows[i], None)
 
-            for i, _, nbytes in active:
-                remaining[i] = remaining[i].slice_bytes(nbytes, remaining[i].total)
+            for i, nbytes in zip(active, sizes):
+                remaining.advance(i, nbytes)
             r += 1
     finally:
         _release_buffers(ctx, domains, released)
 
-    resource_bound = max(
-        (load / caps[key] for key, load in resource_load.items()),
-        default=0.0,
-    )
+    resource_bound = ledger.bound(ledger.load)
     # The critical chain already includes each aggregator's own group's
     # per-round barriers; the message-startup latency accumulated per
     # round (at that round's message count) is added on top. Faulted
     # runs pay the derate-weighted resource bound (>= nominal).
     critical_chain = max(chain_time, default=0.0)
-    transfer_time = max(_eff_bound(), critical_chain)
+    transfer_time = max(ledger.bound(ledger.derated), critical_chain)
     trace.record(
         "transfer",
         transfer_time + latency_total,
         bytes_moved=shuffle_bytes_total + io_bytes_total,
-        resource_bytes=resource_load,
+        resource_bytes=ledger.totals(),
         resource_bound=resource_bound,
         critical_chain=critical_chain,
         latency=latency_total,

@@ -11,12 +11,13 @@ requests into (request, start, end) segments once per run and cuts them
 to every domain's coverage; each domain keeps its segments sorted by
 start, with a running maximum of their ends. A round window's pieces are
 then one ``searchsorted`` range per window extent, with only the
-segments at the range's ends clipped.
+segments at the range's ends clipped. The round's flows then come back
+from :func:`shuffle_flows` as ``(resource id, bytes)`` columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -25,13 +26,14 @@ from ..cluster.network import BISECTION, membw, nic_in, nic_out
 from ..fs.pfs import IOKind
 from ..mpi.comm import SimComm
 from ..mpi.requests import AccessRequest
-from ..sim.flows import Flow
+from ..sim.flows import Charges, ResourceIds
 from ..util.intervals import ExtentList
 from .domains import FileDomain
 
 __all__ = [
     "ExchangeIndex",
     "ExchangePiece",
+    "ShuffleCharges",
     "plan_exchange",
     "shuffle_flows",
 ]
@@ -72,21 +74,23 @@ class _Segments:
     def cut(self, window: ExtentList) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(cand, start, end)`` of the window's pieces, by candidate then start."""
         w_lo, w_hi = window.starts, window.ends
-        lo = np.searchsorted(self.run_end, w_lo, side="right")
-        hi = np.searchsorted(self.starts, w_hi, side="left")
+        # (Array methods rather than the np.* wrappers: this runs once
+        # per domain and round, on small arrays.)
+        lo = self.run_end.searchsorted(w_lo, side="right")
+        hi = self.starts.searchsorted(w_hi, side="left")
         # Window extents are sorted and disjoint, so this expansion is
         # already in start order.
         counts = np.maximum(hi - lo, 0)
         total = int(counts.sum())
-        ext = np.repeat(np.arange(w_lo.size), counts)
-        seg = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        ext = np.arange(w_lo.size).repeat(counts)
+        seg = (lo - (counts.cumsum() - counts)).repeat(counts) + np.arange(total)
         starts = np.maximum(self.starts[seg], w_lo[ext])
         ends = np.minimum(self.ends[seg], w_hi[ext])
         # Segments inside the range may still end before the window
         # starts (the range is bounded by the running maximum of ends).
         keep = ends > starts
         cand = self.cand[seg][keep]
-        order = np.argsort(cand, kind="stable")
+        order = cand.argsort(kind="stable")
         return cand[order], starts[keep][order], ends[keep][order]
 
 
@@ -190,112 +194,141 @@ def plan_exchange(
     return pieces
 
 
+class ShuffleCharges(NamedTuple):
+    """One round's shuffle as charge columns (see :func:`shuffle_flows`)."""
+
+    #: every domain's flows; segment ``s`` is domain ``owners[s]``'s
+    charges: Charges
+    #: the round-wide merge, when ``merge_across_domains`` asked for it
+    merged: Charges | None
+    #: messages per domain that has pieces: flows under two-layer
+    #: coordination, pieces otherwise
+    messages: dict[int, int]
+    intra: int
+    inter: int
+
+
 def shuffle_flows(
-    pieces: Iterable[ExchangePiece],
+    pieces: Sequence[ExchangePiece],
     comm: SimComm,
     kind: IOKind,
+    ids: ResourceIds,
     *,
     two_layer: bool = False,
-) -> tuple[list[Flow], int, int]:
-    """Flows for one round's shuffle, plus (intra, inter) byte counts.
+    merge_across_domains: bool = False,
+) -> ShuffleCharges:
+    """One round's shuffle flows, as resource charges in flow order.
 
-    For writes, data moves process → aggregator; for reads the same
-    pieces move aggregator → process (NIC directions swap).
+    ``pieces`` come grouped by domain (as :func:`plan_exchange` returns
+    them); so do the flows. For writes, data moves process → aggregator;
+    for reads the same pieces move aggregator → process (NIC directions
+    swap).
 
-    Intra-node pieces are modelled as one memory copy: the node's
-    off-chip bus carries each byte twice (read + write). Inter-node
-    pieces charge the sender's bus once (read), both NICs, the fabric
-    core, and the receiver's bus once (write).
+    An intra-node flow of ``n`` bytes is one memory copy: it charges
+    ``2n`` on the node's memory bus. An inter-node flow charges ``n`` on
+    each of the sender's bus (read), its NIC, the fabric core, the
+    receiver's NIC and the receiver's bus (write).
 
     ``two_layer`` enables the paper's intra-node/inter-node coordination:
     pieces from the same source node to the same aggregator are first
-    gathered at a node leader (an extra copy across the source node's
-    memory bus) and cross the network as *one* message — the flow count
-    (and therefore the per-round message-startup latency the caller
-    charges) drops from O(processes) to O(nodes), at the price of one
-    more memory-bandwidth pass.
+    gathered at a node leader and cross the network as *one* message,
+    so an inter-node flow charges ``3n`` on the sending bus (the gather
+    copy's two passes plus the send). The flow count (and therefore the
+    per-round message-startup latency the caller charges) drops from
+    O(processes) to O(nodes). Flows merge per domain, in order of their
+    first piece; ``merge_across_domains`` also returns the merge over
+    the whole round (an aggregator rank that owns several domains then
+    gets one flow per source node).
     """
-    intra = 0
-    inter = 0
+    cols = np.array([p[:4] for p in pieces], dtype=np.int64).reshape(-1, 4)
+    src_rank, agg_rank, domain, nbytes = cols.T
+    domains, counts = np.unique(domain, return_counts=True)
+    src_node = comm.nodes_of(src_rank)
+    agg_node = comm.nodes_of(agg_rank)
+    sent = nbytes > 0
+    intra = int(nbytes[sent & (src_node == agg_node)].sum())
+    inter = int(nbytes[sent].sum()) - intra
+    flows = np.flatnonzero(sent)
+    flow_bytes = nbytes[flows]
     if two_layer:
-        merged: dict[tuple[int, int], int] = {}
-        for piece in pieces:
-            if piece.nbytes == 0:
-                continue
-            key = (comm.node_of(piece.src_rank), piece.agg_rank)
-            merged[key] = merged.get(key, 0) + piece.nbytes
-        flows: list[Flow] = []
-        for (src_node, agg_rank), nbytes in merged.items():
-            agg_node = comm.node_of(agg_rank)
-            if kind == "write":
-                from_node, to_node = src_node, agg_node
-            else:
-                from_node, to_node = agg_node, src_node
-            label = f"shuffle2l:n{src_node}->{agg_rank}"
-            if from_node == to_node:
-                intra += nbytes
-                flows.append(
-                    Flow(
-                        size=float(nbytes),
-                        resources=(membw(from_node),),
-                        label=label,
-                        resource_sizes={membw(from_node): 2.0 * nbytes},
-                    )
-                )
-            else:
-                inter += nbytes
-                # Gather copy at the leader (2 bus passes) + network hop.
-                flows.append(
-                    Flow(
-                        size=float(nbytes),
-                        resources=(
-                            membw(from_node),
-                            nic_out(from_node),
-                            BISECTION,
-                            nic_in(to_node),
-                            membw(to_node),
-                        ),
-                        label=label,
-                        resource_sizes={membw(from_node): 3.0 * nbytes},
-                    )
-                )
-        return flows, intra, inter
+        n_nodes = comm.cluster.n_nodes
+        flows, flow_bytes = _merge(domain[flows] * n_nodes + src_node[flows], flows, flow_bytes)
+        messages = dict.fromkeys(domains.tolist(), 0)
+        d, c = np.unique(domain[flows], return_counts=True)
+        messages.update(zip(d.tolist(), c.tolist()))
+    else:
+        messages = dict(zip(domains.tolist(), counts.tolist()))
+    bus = 3.0 if two_layer else 1.0
+    charges = _flow_charges(
+        ids, kind, src_node[flows], agg_node[flows], flow_bytes, domain[flows], bus
+    )
+    merged = None
+    if merge_across_domains:
+        flows = np.flatnonzero(sent)
+        flows, flow_bytes = _merge(
+            src_node[flows] * comm.size + agg_rank[flows], flows, nbytes[flows]
+        )
+        merged = _flow_charges(
+            ids, kind, src_node[flows], agg_node[flows], flow_bytes,
+            np.zeros(flows.size, dtype=np.int64), bus,
+        )
+    return ShuffleCharges(charges, merged, messages, intra, inter)
 
-    flows = []
-    for piece in pieces:
-        nbytes = piece.nbytes
-        if nbytes == 0:
-            continue
-        src_node = comm.node_of(piece.src_rank)
-        agg_node = comm.node_of(piece.agg_rank)
-        if kind == "write":
-            from_node, to_node = src_node, agg_node
-        else:
-            from_node, to_node = agg_node, src_node
-        label = f"shuffle:{piece.src_rank}->{piece.agg_rank}"
-        if from_node == to_node:
-            intra += nbytes
-            flows.append(
-                Flow(
-                    size=float(nbytes),
-                    resources=(membw(from_node),),
-                    label=label,
-                    resource_sizes={membw(from_node): 2.0 * nbytes},
-                )
-            )
-        else:
-            inter += nbytes
-            flows.append(
-                Flow(
-                    size=float(nbytes),
-                    resources=(
-                        membw(from_node),
-                        nic_out(from_node),
-                        BISECTION,
-                        nic_in(to_node),
-                        membw(to_node),
-                    ),
-                    label=label,
-                )
-            )
-    return flows, intra, inter
+
+def _merge(
+    code: np.ndarray, pieces: np.ndarray, nbytes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pieces with equal ``code`` as one flow each, in first-piece order.
+
+    Returns each flow's first piece (an index into ``pieces``' source)
+    and its summed bytes.
+    """
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    flow_of = np.empty_like(order)
+    flow_of[order] = np.arange(order.size)
+    summed = np.zeros(order.size, dtype=np.int64)
+    np.add.at(summed, flow_of[inverse], nbytes)
+    return pieces[first[order]], summed
+
+
+def _flow_charges(
+    ids: ResourceIds,
+    kind: IOKind,
+    src_node: np.ndarray,
+    agg_node: np.ndarray,
+    nbytes: np.ndarray,
+    owner: np.ndarray,
+    bus: float,
+) -> Charges:
+    """Charges of flows of ``nbytes`` each, flow by flow, segmented by ``owner``.
+
+    ``bus`` scales an inter-node flow's charge on the sending bus.
+    """
+    if kind == "write":
+        from_node, to_node = src_node, agg_node
+    else:
+        from_node, to_node = agg_node, src_node
+    inter = from_node != to_node
+    width = np.where(inter, 5, 1)
+    start = np.cumsum(width) - width
+    key_ids = np.empty(int(width.sum()), dtype=np.int64)
+    amounts = np.empty(key_ids.size, dtype=np.float64)
+    size = nbytes.astype(np.float64)
+    key_ids[start] = ids.column(membw, from_node)
+    amounts[start] = np.where(inter, bus * size, 2.0 * size)
+    at, out, into = start[inter], from_node[inter], to_node[inter]
+    for step, column in enumerate(
+        (
+            ids.column(nic_out, out),
+            np.full(at.size, ids[BISECTION]),
+            ids.column(nic_in, into),
+            ids.column(membw, into),
+        ),
+        start=1,
+    ):
+        key_ids[at + step] = column
+        amounts[at + step] = size[inter]
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    return Charges(key_ids, amounts, start[first], owner[first])

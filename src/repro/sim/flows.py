@@ -22,19 +22,28 @@ compute phase behaviour:
 Resources are identified by opaque hashable keys supplied by the caller
 (e.g. ``("nic_in", node_id)``), so models can be composed without a
 central registry.
+
+Hot paths that charge many flows at once skip the :class:`Flow`
+objects: :class:`ResourceIds` gives a run's keys dense integer ids,
+:class:`Charges` carries a phase's charges as ``(key id, bytes)``
+columns, and :class:`ChargeLedger` sums them per resource.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..util.errors import SimulationError
 
 __all__ = [
+    "ChargeLedger",
+    "Charges",
     "Flow",
+    "ResourceIds",
     "PhaseOutcome",
     "max_min_rates",
     "bottleneck_time",
@@ -83,6 +92,149 @@ class Flow:
         if self.resource_sizes and key in self.resource_sizes:
             return self.resource_sizes[key]
         return self.size
+
+
+class ResourceIds:
+    """Dense integer ids for one run's resource keys, with their capacities.
+
+    Ids follow the capacity map's key order; ``keys[k]`` is id ``k``'s
+    key and ``caps[k]`` its capacity.
+    """
+
+    __slots__ = ("keys", "caps", "_index", "_tables")
+
+    def __init__(self, capacities: Mapping[ResourceKey, float]) -> None:
+        self.keys: list[ResourceKey] = list(capacities)
+        self._index = {key: k for k, key in enumerate(self.keys)}
+        self.caps = np.fromiter(capacities.values(), np.float64, len(self.keys))
+        self._tables: dict[Callable[[int], ResourceKey], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, key: ResourceKey) -> int:
+        return self._index[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._index
+
+    def column(
+        self, key_of: Callable[[int], ResourceKey], values: np.ndarray
+    ) -> np.ndarray:
+        """Ids of ``key_of(v)`` for each small non-negative integer ``v``.
+
+        One table per key family (``membw``, ``ost_key``, ...), grown to
+        the largest ``v`` seen; every key up to it must be in the map.
+        """
+        table = self._tables.get(key_of)
+        top = int(values.max()) + 1 if values.size else 0
+        if table is None or top > table.size:
+            table = np.fromiter(
+                (self._index[key_of(v)] for v in range(top)), np.int64, top
+            )
+            self._tables[key_of] = table
+        return table[values]
+
+
+class Charges(NamedTuple):
+    """A phase's resource charges as columns, in segments.
+
+    Charge ``k`` puts ``amounts[k]`` bytes on resource id ``ids[k]``.
+    Segment ``s`` (one owner's flows, e.g. one domain's) is the charges
+    from ``starts[s]`` up to the next start; ``owners[s]`` names it.
+    Every segment is non-empty.
+    """
+
+    ids: np.ndarray
+    amounts: np.ndarray
+    starts: np.ndarray
+    owners: np.ndarray
+
+    def extend_segments(
+        self, segments: Sequence[int], ids: np.ndarray, amounts: Sequence[float]
+    ) -> Charges:
+        """These charges plus one more at the end of each listed segment.
+
+        ``segments`` ascend; segment ``segments[j]`` gains the charge
+        ``(ids[j], amounts[j])`` after its own.
+        """
+        if not segments:
+            return self
+        ends = np.append(self.starts[1:], self.ids.size)[list(segments)]
+        return Charges(
+            np.insert(self.ids, ends, ids),
+            np.insert(self.amounts, ends, np.asarray(amounts, dtype=np.float64)),
+            self.starts + np.searchsorted(ends, self.starts, side="right"),
+            self.owners,
+        )
+
+    def drain_times(self, load: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """Per segment, the largest ``load / caps`` over the ids it charges.
+
+        ``load`` and ``caps`` are indexed by resource id: with a phase's
+        load this is each owner's drain time, the time its most-loaded
+        resource needs to clear the phase.
+        """
+        if not self.starts.size:
+            return np.empty(0, np.float64)
+        return np.maximum.reduceat(load[self.ids] / caps[self.ids], self.starts)
+
+
+class ChargeLedger:
+    """A run's load per resource id, accumulated charge by charge.
+
+    ``np.add.at`` adds in index order, so every resource's total is the
+    same sequence of float additions as charging flow by flow (summing a
+    round first, e.g. with ``bincount``, would regroup it). With
+    ``derated`` a twin total counts each charge ``derate[id]`` times
+    over; without, the twin is the plain total. ``touched`` lists ids in
+    the order first charged.
+    """
+
+    __slots__ = ("ids", "load", "derated", "touched", "_seen")
+
+    def __init__(self, ids: ResourceIds, *, derated: bool = False) -> None:
+        self.ids = ids
+        self.load = np.zeros(len(ids))
+        self.derated = np.zeros(len(ids)) if derated else self.load
+        self.touched = np.empty(0, dtype=np.int64)
+        self._seen = np.zeros(len(ids), dtype=bool)
+
+    def charge(
+        self, charges: Charges, derate: np.ndarray | None = None
+    ) -> tuple[np.ndarray, dict[ResourceKey, float]]:
+        """Add one phase's charges; return that phase's load.
+
+        The phase's load comes back by id (an array) and by key (a map
+        in first-charge order). ``derate`` (by id) weighs the charges
+        added to the derated twin.
+        """
+        key_ids, amounts = charges.ids, charges.amounts
+        np.add.at(self.load, key_ids, amounts)
+        if derate is not None and self.derated is not self.load:
+            np.add.at(self.derated, key_ids, amounts * derate[key_ids])
+        phase = np.zeros(len(self.ids))
+        np.add.at(phase, key_ids, amounts)
+        unique, first = np.unique(key_ids, return_index=True)
+        order = unique[np.argsort(first)]
+        fresh = order[~self._seen[order]]
+        self._seen[fresh] = True
+        self.touched = np.concatenate([self.touched, fresh])
+        return phase, self._by_key(phase, order)
+
+    def bound(self, load: np.ndarray) -> float:
+        """Largest ``load / capacity`` over the charged resources (or 0)."""
+        if not self.touched.size:
+            return 0.0
+        return float(np.max(load[self.touched] / self.ids.caps[self.touched]))
+
+    def totals(self) -> dict[ResourceKey, float]:
+        """Run-wide load per charged key, in first-charge order."""
+        return self._by_key(self.load, self.touched)
+
+    def _by_key(self, load: np.ndarray, order: np.ndarray) -> dict[ResourceKey, float]:
+        keys = self.ids.keys
+        return dict(zip([keys[k] for k in order.tolist()], load[order].tolist()))
 
 
 @dataclass(slots=True)

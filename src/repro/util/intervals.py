@@ -117,7 +117,7 @@ class ExtentList:
     contents, and all mutating-style operations return new lists.
     """
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ("_starts", "_ends", "_total")
 
     def __init__(self, starts: np.ndarray, ends: np.ndarray, *, _trusted: bool = False):
         starts = np.asarray(starts, dtype=np.int64)
@@ -130,6 +130,7 @@ class ExtentList:
             starts, ends = _normalize(starts, ends)
         self._starts = starts
         self._ends = ends
+        self._total = -1  # computed on first use; the arrays never change
         self._starts.setflags(write=False)
         self._ends.setflags(write=False)
 
@@ -211,7 +212,9 @@ class ExtentList:
     @property
     def total(self) -> int:
         """Total number of bytes covered."""
-        return int((self._ends - self._starts).sum())
+        if self._total < 0:
+            self._total = int((self._ends - self._starts).sum())
+        return self._total
 
     @property
     def is_empty(self) -> bool:

@@ -250,11 +250,17 @@ def test_timeout_kills_a_hung_point():
     hung = BASE.replace(
         strategy="two-phase", workload=SleepyWorkload(8, block_size=mib(1))
     )
+    t0 = time.perf_counter()
     out = Campaign([BASE, hung], timeout_s=3.0).run()
+    # The supervisor never touches the hung workload itself.
+    assert time.perf_counter() - t0 < 30.0
     assert [r["status"] for r in out.records] == ["ok", "error"]
     bad = out.records[1]
     assert "TimeoutError" in bad["error"] and bad["result"] is None
     assert bad["transient"] is False
+    # Killed while hashing (the workload hangs on first touch).
+    assert bad["spec_hash"] is None
+    assert out.records[0]["spec_hash"] == BASE.spec_hash()
 
 
 def test_retry_and_timeout_validation():

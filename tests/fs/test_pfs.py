@@ -76,10 +76,10 @@ class TestCapacities:
 
 class TestAccessFlows:
     def test_empty_extents_no_flows(self, pfs):
-        assert pfs.access_flows(0, ExtentList.empty(), "write") == []
+        assert pfs.access_flow_list(0, ExtentList.empty(), "write") == []
 
     def test_write_flow_path(self, pfs):
-        flows = pfs.access_flows(3, ExtentList.single(0, mib(1)), "write")
+        flows = pfs.access_flow_list(3, ExtentList.single(0, mib(1)), "write")
         assert len(flows) == 1
         res = flows[0].resources
         assert membw(3) in res
@@ -89,25 +89,25 @@ class TestAccessFlows:
         assert PFS_BACKPLANE in res
 
     def test_read_flow_uses_nic_in(self, pfs):
-        flows = pfs.access_flows(3, ExtentList.single(0, mib(1)), "read")
+        flows = pfs.access_flow_list(3, ExtentList.single(0, mib(1)), "read")
         assert nic_in(3) in flows[0].resources
         assert nic_out(3) not in flows[0].resources
 
     def test_flow_sizes_match_bytes_per_ost(self, pfs, storage):
         extents = ExtentList.single(0, 3 * storage.stripe_unit)
-        flows = pfs.access_flows(0, extents, "write")
+        flows = pfs.access_flow_list(0, extents, "write")
         assert len(flows) == 3
         assert sum(f.size for f in flows) == extents.total
 
     def test_ost_charge_includes_request_overhead(self, pfs, storage):
         extents = ExtentList.single(0, storage.stripe_unit)
-        (flow,) = pfs.access_flows(0, extents, "write")
+        (flow,) = pfs.access_flow_list(0, extents, "write")
         charged = flow.charge_on(ost_key(0))
         expected_overhead = storage.request_overhead * storage.ost_bandwidth
         assert charged == pytest.approx(extents.total + expected_overhead)
 
     def test_stream_resource_attached(self, pfs):
-        (flow,) = pfs.access_flows(
+        (flow,) = pfs.access_flow_list(
             0, ExtentList.single(0, 100), "write", stream="agg7"
         )
         assert pfs.stream_key("agg7") in flow.resources

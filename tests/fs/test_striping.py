@@ -169,3 +169,37 @@ def test_property_ost_load_matches_per_unit_loop(pairs, unit, count):
     load = lay.ost_load(el)
     got = (load.bytes.tolist(), load.pieces.tolist(), load.runs.tolist())
     assert got == _reference_ost_load(lay, el)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 5_000), st.integers(0, 300)),
+            min_size=0,
+            max_size=8,
+        ),
+        min_size=0,
+        max_size=6,
+    ),
+    st.integers(1, 64),
+    st.integers(1, 7),
+)
+def test_property_window_loads_match_per_window_ost_load(batch, unit, count):
+    lay = StripingLayout(unit, count)
+    windows = [ExtentList.from_pairs(pairs) for pairs in batch]
+    rows = lay.window_loads(windows)
+    got = list(zip(*(col.tolist() for col in rows)))
+    want = []
+    for w, el in enumerate(windows):
+        load = lay.ost_load(el)
+        for ost in np.flatnonzero(load.bytes).tolist():
+            want.append(
+                (w, ost, int(load.bytes[ost]), int(load.pieces[ost]), int(load.runs[ost]))
+            )
+    assert got == want
+    total = rows.total(count)
+    for column, name in zip(total, ("bytes", "pieces", "runs")):
+        assert column.tolist() == np.sum(
+            [getattr(lay.ost_load(el), name) for el in windows] or [np.zeros(count, np.int64)],
+            axis=0,
+        ).tolist()

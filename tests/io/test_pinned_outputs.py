@@ -6,9 +6,14 @@ bits of ``elapsed`` long before any tolerance-based test notices. Each
 spec below pins ``repr(elapsed)``, the round count, the intra/inter
 shuffle bytes, and a sha256 over every ``RoundRecord.to_dict()`` (JSON
 in the record's own key order, so the resource-map key order is pinned
-too) and every fault and lever-decision span. The values were recorded
-with the per-request object engine that preceded the columnar one;
-regenerate them only for an intended change of simulated results::
+too) and every fault and lever-decision span. ``PINNED_TRANSFER`` pins
+the ``transfer`` trace event of every spec: ``repr`` of its
+``resource_bound`` and ``critical_chain``, and a sha256 over its
+``resource_bytes`` (keys in first-charge order, with their values). The
+values were recorded with the per-request object engine that preceded
+the columnar one (the byte-accurate spec and the transfer events with
+the per-``Flow`` charging that preceded columnar charging); regenerate
+them only for an intended change of simulated results::
 
     PYTHONPATH=src python tests/io/test_pinned_outputs.py
 """
@@ -69,6 +74,13 @@ SPECS: dict[str, Experiment] = {
         memory_variance_mean=kib(512), memory_variance_std=kib(64),
         config=_CFG, seed=3,
     ),
+    # The byte-accurate data path: every piece carries its extents.
+    "mc-write-strided-tracked": Experiment(
+        machine="testbed-4", strategy="mc", n_procs=16, procs_per_node=4,
+        workload="nested-strided", cb_buffer=kib(256),
+        memory_variance_mean=kib(512), memory_variance_std=kib(64),
+        config=_CFG, seed=5, track_data=True,
+    ),
     "sieving-write": Experiment(
         machine="testbed-4", strategy="sieving", n_procs=8, procs_per_node=2,
         workload="nested-strided", seed=3,
@@ -103,6 +115,10 @@ PINNED: dict[str, tuple] = {
         "0.07294833943056268", 10, 4194304, 12582912,
         "7d54a3b67af0fa6d26ca5e9b37be798b43fb75612a79e25043872f995715e222",
     ),
+    "mc-write-strided-tracked": (
+        "0.07294833943056268", 10, 4194304, 12582912,
+        "7d54a3b67af0fa6d26ca5e9b37be798b43fb75612a79e25043872f995715e222",
+    ),
     "sieving-write": (
         "0.7318353999999997", 1, 0, 0,
         "79099cd2e6ed40c5a13a54f7354882f3b6a4bdc2246eecc07459e1c6679eddcb",
@@ -126,6 +142,43 @@ PINNED: dict[str, tuple] = {
 }
 
 
+PINNED_TRANSFER: dict[str, tuple | None] = {
+    "faulted-mc-pool-write": (
+        "0.13520000000000001", "0.3740199347451629",
+        "1052e0449f9778570ba851623a87938db98492de497f6a673882dbaef8894487",
+    ),
+    "faulted-two-layer-mc-pool-write": (
+        "0.13520000000000001", "0.3740199347451629",
+        "c157890f39395c383303a34c5fa63d36ede653e8abfd6d50d0facc4ef92da929",
+    ),
+    "mc-write-strided": (
+        "0.0668", "0.07284461788992089",
+        "b2031b6f44f2d9187d1fe720e76e9e5407fba05ad5093101d4e3a35f9d06afd2",
+    ),
+    "mc-write-strided-tracked": (
+        "0.0668", "0.07284461788992089",
+        "b2031b6f44f2d9187d1fe720e76e9e5407fba05ad5093101d4e3a35f9d06afd2",
+    ),
+    "sieving-write": None,
+    "two-layer-mc-read": (
+        "0.11840000000000002", "0.1473877517941793",
+        "4472099ab1dd4deb8064e1cec6166a6d45d30a5f1ec19c08eeaeb19a42141848",
+    ),
+    "two-layer-mc-write": (
+        "0.2712", "0.319670845148484",
+        "eb53b1c5218c77d1c64530ab28d7fa740ff3d002773a7f45e93bc79bf07085fe",
+    ),
+    "two-phase-read": (
+        "0.0928", "0.3835013750000001",
+        "a468407be6bb0731850575c73666d114e7237896fcac9c4e4a6ff0091df235de",
+    ),
+    "two-phase-write": (
+        "0.11280000000000001", "0.46350137500000016",
+        "a41d1422986dd0266566ab902adc4e4887724dd5e9cc980a7b04debc800962e3",
+    ),
+}
+
+
 def observe(exp: Experiment) -> tuple:
     """(repr(elapsed), n_rounds, intra, inter, sha256 of rounds and spans)."""
     result = exp.run()
@@ -142,9 +195,31 @@ def observe(exp: Experiment) -> tuple:
     )
 
 
+def observe_transfer(exp: Experiment) -> tuple | None:
+    """(repr(resource_bound), repr(critical_chain), sha256 of resource_bytes).
+
+    ``None`` for a strategy that runs no rounds (no transfer event).
+    """
+    transfers = exp.run().trace.phases("transfer")
+    if not transfers:
+        return None
+    (transfer,) = transfers
+    pairs = [[str(key), value] for key, value in transfer.resource_bytes.items()]
+    return (
+        repr(transfer.meta["resource_bound"]),
+        repr(transfer.meta["critical_chain"]),
+        hashlib.sha256(json.dumps(pairs).encode()).hexdigest(),
+    )
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_simulated_outputs_are_pinned(name):
     assert observe(SPECS[name]) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_transfer_event_is_pinned(name):
+    assert observe_transfer(SPECS[name]) == PINNED_TRANSFER[name]
 
 
 @pytest.mark.parametrize("name", ["faulted-mc-pool-write", "faulted-two-layer-mc-pool-write"])
@@ -158,3 +233,6 @@ def test_faulted_specs_exercise_remerge_borrow_and_evict(name):
 if __name__ == "__main__":
     for name in sorted(SPECS):
         print(f"    {name!r}: {observe(SPECS[name])!r},")
+    print()
+    for name in sorted(SPECS):
+        print(f"    {name!r}: {observe_transfer(SPECS[name])!r},")

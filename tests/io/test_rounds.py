@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import scaled_testbed
 from repro.io import make_context
 from repro.io.domains import FileDomain
-from repro.io.rounds import execute_collective
+from repro.io.rounds import _Remaining, execute_collective
 from repro.mpi import AccessRequest, pattern_bytes
 from repro.util import CollectiveIOError, Extent, ExtentList, mib
 
@@ -391,3 +393,31 @@ class TestPagingTelemetry:
         assert membw_keys
         for key in membw_keys:
             assert slow_drains[key] > fast_drains[key]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 4_000), st.integers(1, 200)), min_size=1, max_size=12
+    ),
+    sizes=st.lists(st.integers(1, 600), min_size=1, max_size=20),
+    remerge_at=st.integers(0, 20),
+)
+def test_remaining_cursor_windows_match_slice_bytes(pairs, sizes, remerge_at):
+    """Cursor windows are the reference byte-rank slices of the remaining coverage."""
+    coverage = ExtentList.from_pairs(pairs)
+    other = ExtentList.from_pairs((o + 5_000, n) for o, n in pairs)
+    remaining = _Remaining([coverage, other])
+    reference = coverage
+    for step, size in enumerate(sizes):
+        if step == remerge_at:
+            remaining.install(0, remaining[0].union(remaining[1]))
+            reference = reference.union(other)
+        if not remaining.left(0):
+            break
+        window = remaining.window(0, size)
+        assert window == reference.slice_bytes(0, size)
+        assert remaining.left(0) == reference.total
+        remaining.advance(0, window.total)
+        reference = reference.slice_bytes(window.total, reference.total)
+        assert remaining[0] == reference

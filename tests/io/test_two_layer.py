@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, NetworkModel, membw, scaled_testbed
+from repro.cluster import BISECTION, Cluster, NetworkModel, membw, scaled_testbed
 from repro.core import MemoryConsciousCollectiveIO, MemoryConsciousConfig
 from repro.io import CollectiveHints, TwoPhaseCollectiveIO, make_context
 from repro.io.domains import FileDomain
-from repro.io.shuffle import ExchangeIndex, plan_exchange, shuffle_flows
+from repro.io.shuffle import ExchangeIndex, plan_exchange
 from repro.mpi import AccessRequest, SimComm, pattern_bytes
 from repro.util import Extent, ExtentList, kib, mib
 from repro.workloads import IORWorkload
+from tests.io.test_shuffle import charge_list
 
 
 @pytest.fixture
@@ -38,28 +39,32 @@ class TestTwoLayerFlows:
 
     def test_merges_same_node_messages(self, comm):
         pieces = self._pieces(comm)
-        flat, fi, fo = shuffle_flows(pieces, comm, "write")
-        merged, mi, mo = shuffle_flows(pieces, comm, "write", two_layer=True)
-        assert len(flat) == 2
-        assert len(merged) == 1
+        flat_charges, flat = charge_list(comm, pieces)
+        merged_charges, merged = charge_list(comm, pieces, two_layer=True)
+        assert flat.messages == {0: 2}
+        assert merged.messages == {0: 1}
         # Byte accounting identical.
-        assert (fi, fo) == (mi, mo)
-        assert sum(f.size for f in flat) == sum(f.size for f in merged)
+        assert (flat.intra, flat.inter) == (merged.intra, merged.inter)
+        on_core = [
+            sum(b for key, b in charges if key == BISECTION)
+            for charges in (flat_charges, merged_charges)
+        ]
+        assert on_core == [200.0, 200.0]
 
     def test_gather_copy_charged_on_source_bus(self, comm):
         pieces = self._pieces(comm)
-        flows, _, _ = shuffle_flows(pieces, comm, "write", two_layer=True)
-        (flow,) = flows
+        charges, _ = charge_list(comm, pieces, two_layer=True)
         # 3 passes: gather write + send read vs the flat case's 1.
-        assert flow.charge_on(membw(0)) == pytest.approx(3 * 200)
+        assert charges[0] == (membw(0), 3 * 200.0)
+        assert len(charges) == 5
 
     def test_intra_node_unchanged(self, comm):
         reqs = [AccessRequest(0, ExtentList.single(0, 64))]
         domains = [_domain(0, 64, 1)]  # same node
         pieces = plan_exchange(ExchangeIndex(reqs, domains), [domains[0].coverage])
-        flows, intra, inter = shuffle_flows(pieces, comm, "write", two_layer=True)
-        assert intra == 64 and inter == 0
-        assert flows[0].charge_on(membw(0)) == 2 * 64
+        charges, out = charge_list(comm, pieces, two_layer=True)
+        assert out.intra == 64 and out.inter == 0
+        assert charges == [(membw(0), 2 * 64.0)]
 
 
 class TestTwoLayerEndToEnd:
