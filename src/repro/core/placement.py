@@ -37,9 +37,12 @@ single file domain processed in buffer-sized rounds
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Protocol
+
+import numpy as np
 
 from ..faults.levers import price_borrow, price_remerge
 from ..io.context import IOContext
@@ -442,62 +445,104 @@ def rebalance(
     that most lowers the pairwise maximum — preferring slots on the
     assignment's own candidate hosts (locality), falling back to any
     slot. Returns the updated assignment list and the move count.
+
+    Loads live in arrays while the greedy runs and are written back to
+    the slots at the end. The tie-breaks are exact: the worst slot is
+    the first in ``plan.slots`` order with the maximal ``load / buffer``
+    (int64 division equals Python's while loads stay below 2**53); its
+    assignments are tried smallest first, equal sizes in the order they
+    joined the slot; local targets are scanned before remote ones, and
+    within a scan the first valid target wins unless a later one is
+    better by more than ``eps`` (see :func:`_pick`).
     """
     if not assignments:
         return assignments, 0
     if max_moves is None:
         max_moves = 4 * len(assignments)
-    by_slot: dict[int, list[int]] = {}
+    slots = plan.slots
+    # Python ints for exact scalar division, int64 twins for the scans.
+    load = [s.load for s in slots]
+    buffer = [s.buffer_bytes for s in slots]
+    load_arr = np.array(load, dtype=np.int64)
+    buffer_arr = np.array(buffer, dtype=np.int64)
+    rounds = load_arr / buffer_arr
+    # Each slot's assignments as (bytes, arrival, index), kept sorted.
+    members: dict[int, list[tuple[int, int, int]]] = {}
     for i, a in enumerate(assignments):
-        by_slot.setdefault(a.slot_id, []).append(i)
-    out = list(assignments)
+        members.setdefault(a.slot_id, []).append((a.nbytes, i, i))
+    for entries in members.values():
+        entries.sort()
+    arrival = len(assignments)
+    slot_of = [a.slot_id for a in assignments]
+    moved: set[int] = set()
     moves = 0
     eps = 1e-9
 
     while moves < max_moves:
-        worst = max(plan.slots, key=lambda s: s.projected_rounds())
-        worst_rounds = worst.projected_rounds()
+        worst = int(rounds.argmax())
+        worst_rounds = load[worst] / buffer[worst]
         if worst_rounds <= 0:
             break
-        indices = sorted(
-            by_slot.get(worst.slot_id, ()), key=lambda i: out[i].nbytes
-        )
-        best_move: tuple[float, int, Slot] | None = None
-        for i in indices:
-            a = out[i]
-            a_bytes = a.nbytes
-            local = [
-                s
-                for node in a.host_ranks
-                for s in plan.by_node.get(node, ())
-            ]
-            for pool in (local, plan.slots):
-                for target in pool:
-                    if target.slot_id == a.slot_id:
+        limit = worst_rounds - eps
+        target, k = -1, 0
+        for k, (a_bytes, _, i) in enumerate(members.get(worst, ())):
+            after = (load[worst] - a_bytes) / buffer[worst]
+            best = None
+            for node in assignments[i].host_ranks:
+                for slot in plan.by_node.get(node, ()):
+                    j = slot.slot_id
+                    if j == worst:
                         continue
-                    new_max = max(
-                        (worst.load - a_bytes) / worst.buffer_bytes,
-                        target.projected_rounds(a_bytes),
-                    )
-                    if new_max < worst_rounds - eps and (
-                        best_move is None or new_max < best_move[0] - eps
-                    ):
-                        best_move = (new_max, i, target)
-                if best_move is not None:
-                    break  # prefer a local move over a remote one
-            if best_move is not None:
+                    new_max = max(after, (load[j] + a_bytes) / buffer[j])
+                    if new_max < limit and (best is None or new_max < best - eps):
+                        target, best = j, new_max
+            if target < 0:  # no local move: scan every slot
+                values = np.maximum(after, (load_arr + a_bytes) / buffer_arr)
+                values[worst] = np.inf
+                target = _pick(values, limit, eps)
+            if target >= 0:
                 break  # smallest movable assignment wins
-        if best_move is None:
+        if target < 0:
             break
-        _, i, target = best_move
-        a = out[i]
-        _slot_of(plan, a.slot_id).load -= a.nbytes
-        target.load += a.nbytes
-        by_slot[a.slot_id].remove(i)
-        by_slot.setdefault(target.slot_id, []).append(i)
-        out[i] = replace(a, slot_id=target.slot_id)
+        a_bytes, _, i = members[worst].pop(k)
+        insort(members.setdefault(target, []), (a_bytes, arrival, i))
+        arrival += 1
+        for slot, delta in ((worst, -a_bytes), (target, a_bytes)):
+            load[slot] += delta
+            load_arr[slot] = load[slot]
+            rounds[slot] = load[slot] / buffer[slot]
+            moved.add(slot)
+        slot_of[i] = target
         moves += 1
+    for slot in moved:
+        slots[slot].load = load[slot]
+    out = [
+        a if a.slot_id == slot else replace(a, slot_id=slot)
+        for a, slot in zip(assignments, slot_of)
+    ]
     return out, moves
+
+
+def _pick(values: np.ndarray, limit: float, eps: float) -> int:
+    """The target a scan over ``values`` (each target's ``new_max``) settles on.
+
+    The scan takes the first target below ``limit``, then moves on only
+    to a target below the current best by more than ``eps``; returns -1
+    when no target is below ``limit``. The current best never exceeds
+    the running minimum by more than ``eps`` (every value passed over is
+    at least ``best - eps``), so only targets that lower the running
+    minimum can take over, and the scan is replayed over those alone.
+    """
+    values[values >= limit] = np.inf
+    running = np.minimum.accumulate(values)
+    if running[-1] == np.inf:
+        return -1
+    lowers = (running < np.concatenate(([np.inf], running[:-1]))).nonzero()[0]
+    best, best_value = -1, np.inf
+    for j, value in zip(lowers.tolist(), values[lowers].tolist()):
+        if best < 0 or value < best_value - eps:
+            best, best_value = j, value
+    return best
 
 
 def build_domains(

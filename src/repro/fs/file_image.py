@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.errors import FileSystemError
-from ..util.intervals import Extent, ExtentList
+from ..util.intervals import ExtentList
 
 __all__ = ["FileImage"]
 

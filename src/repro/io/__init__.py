@@ -9,7 +9,13 @@ from .hints import CollectiveHints
 from .independent import IndependentIO
 from .result import AggregatorInfo, CollectiveResult
 from .rounds import execute_collective
-from .shuffle import ExchangeIndex, ExchangePiece, plan_exchange, shuffle_flows
+from .shuffle import (
+    ExchangeIndex,
+    ExchangePiece,
+    ExchangePieces,
+    plan_exchange,
+    shuffle_flows,
+)
 from .two_phase import TwoPhaseCollectiveIO, default_aggregators
 
 __all__ = [
@@ -26,6 +32,7 @@ __all__ = [
     "execute_collective",
     "ExchangeIndex",
     "ExchangePiece",
+    "ExchangePieces",
     "plan_exchange",
     "shuffle_flows",
     "TwoPhaseCollectiveIO",

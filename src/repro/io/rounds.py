@@ -782,7 +782,7 @@ def execute_collective(
         caps.update(pool.capacity_map())
 
     # Every request's pieces in every domain's coverage, cut once; each
-    # round's exchange is a range lookup per window extent.
+    # round's exchange is one cut over all of its window extents.
     index = ExchangeIndex(requests, domains)
     request_by_rank = {r.rank: r for r in requests}
     planned_rounds = max((d.rounds() for d in domains), default=0)

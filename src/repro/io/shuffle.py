@@ -8,16 +8,18 @@ core — the distinction that makes aggregator *placement* matter.
 
 The intersections are columnar. :class:`ExchangeIndex` flattens the
 requests into (request, start, end) segments once per run and cuts them
-to every domain's coverage; each domain keeps its segments sorted by
-start, with a running maximum of their ends. A round window's pieces are
-then one ``searchsorted`` range per window extent, with only the
-segments at the range's ends clipped. The round's flows then come back
-from :func:`shuffle_flows` as ``(resource id, bytes)`` columns.
+to every coverage extent of every domain in one pass, keeping one table
+sorted by (domain, start). A round's pieces are then one cut over all of
+its (domain, part, window extent) queries, returned as
+:class:`ExchangePieces` columns, and the round's flows come back from
+:func:`shuffle_flows` as ``(resource id, bytes)`` columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +35,7 @@ from .domains import FileDomain
 __all__ = [
     "ExchangeIndex",
     "ExchangePiece",
+    "ExchangePieces",
     "ShuffleCharges",
     "plan_exchange",
     "shuffle_flows",
@@ -50,52 +53,49 @@ class ExchangePiece(NamedTuple):
     piece: ExtentList | None = None
 
 
-class _Segments:
-    """One domain's request ∩ coverage segments, sorted by start.
+@dataclass(frozen=True, slots=True, eq=False)
+class ExchangePieces:
+    """One round's pieces as int64 columns, in :func:`plan_exchange` order.
 
-    ``cand[k]`` is segment ``k``'s candidate: the position, in request
-    order, of the request it came from among the requests that touch
-    the domain; ``ranks[c]`` is candidate ``c``'s source rank.
+    Row ``k`` is one piece: ``src_rank[k]`` sends ``nbytes[k]`` to
+    ``agg_rank[k]`` for domain ``domain[k]``; ``extents[k]`` holds its
+    bytes when the byte-accurate data path asked for them. Iterating
+    yields :class:`ExchangePiece` rows.
     """
 
-    __slots__ = ("starts", "ends", "run_end", "cand", "ranks")
+    src_rank: np.ndarray
+    agg_rank: np.ndarray
+    domain: np.ndarray
+    nbytes: np.ndarray
+    extents: list[ExtentList] | None = None
 
-    def __init__(self, starts, ends, request: np.ndarray, rank_of: np.ndarray):
-        order = np.argsort(starts, kind="stable")
-        self.starts = starts[order]
-        self.ends = ends[order]
-        # Segments of different requests may overlap (reads), so the ends
-        # are not sorted; their running maximum is, and bounds the range.
-        self.run_end = np.maximum.accumulate(self.ends)
-        touching = np.unique(request)
-        self.cand = np.searchsorted(touching, request[order])
-        self.ranks = rank_of[touching].tolist()
+    def __len__(self) -> int:
+        return self.nbytes.size
 
-    def cut(self, window: ExtentList) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(cand, start, end)`` of the window's pieces, by candidate then start."""
-        w_lo, w_hi = window.starts, window.ends
-        # (Array methods rather than the np.* wrappers: this runs once
-        # per domain and round, on small arrays.)
-        lo = self.run_end.searchsorted(w_lo, side="right")
-        hi = self.starts.searchsorted(w_hi, side="left")
-        # Window extents are sorted and disjoint, so this expansion is
-        # already in start order.
-        counts = np.maximum(hi - lo, 0)
-        total = int(counts.sum())
-        ext = np.arange(w_lo.size).repeat(counts)
-        seg = (lo - (counts.cumsum() - counts)).repeat(counts) + np.arange(total)
-        starts = np.maximum(self.starts[seg], w_lo[ext])
-        ends = np.minimum(self.ends[seg], w_hi[ext])
-        # Segments inside the range may still end before the window
-        # starts (the range is bounded by the running maximum of ends).
-        keep = ends > starts
-        cand = self.cand[seg][keep]
-        order = cand.argsort(kind="stable")
-        return cand[order], starts[keep][order], ends[keep][order]
+    def __iter__(self) -> Iterator[ExchangePiece]:
+        extents = repeat(None) if self.extents is None else self.extents
+        columns = (self.src_rank, self.agg_rank, self.domain, self.nbytes)
+        for row in zip(*(c.tolist() for c in columns), extents):
+            yield ExchangePiece(*row)
+
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 class ExchangeIndex:
     """Every domain's request pieces, indexed once per run.
+
+    The request extents, cut to every domain's coverage, are kept as
+    flat columns sorted by (domain, start): ``start``/``end`` of each
+    request ∩ coverage segment and the ``request`` it came from (its
+    index, whose order within a domain is the candidate order). Searches
+    run on banded keys: an offset's rank among the index's distinct
+    ``bounds``, plus ``domain · len(bounds)``. ``start_key`` keys each
+    segment's start, ``reach_key`` the running maximum of its domain's
+    ends up to it (segments of different requests may overlap, so the
+    ends are not sorted; their running maximum is, and bounds a search).
+    A key is below ``n_domains · len(bounds)``, a product of two array
+    lengths, so it fits int64 whatever the file offsets are.
 
     ``parts[d]`` lists the original domains whose coverage domain ``d``
     serves now, in order: ``[d]`` until a remerge hands it another
@@ -107,72 +107,56 @@ class ExchangeIndex:
     ) -> None:
         lists = [r.extents for r in requests]
         sizes = np.asarray([len(el) for el in lists], dtype=np.int64)
-        rank_of = np.asarray([r.rank for r in requests], dtype=np.int64)
+        self.rank_of = np.asarray([r.rank for r in requests], dtype=np.int64)
         request = np.repeat(np.arange(len(lists)), sizes)
-        starts = np.concatenate([el.starts for el in lists] or [np.empty(0, np.int64)])
-        ends = np.concatenate([el.ends for el in lists] or [np.empty(0, np.int64)])
+        starts = np.concatenate([el.starts for el in lists] or [_NONE])
+        ends = np.concatenate([el.ends for el in lists] or [_NONE])
         order = np.argsort(starts, kind="stable")
         request, starts, ends = request[order], starts[order], ends[order]
         run_end = np.maximum.accumulate(ends)
-        self.aggregators = [d.aggregator for d in domains]
-        self.segments = [
-            self._cover(request, starts, ends, run_end, d.coverage, rank_of)
-            for d in domains
-        ]
-        self.parts: list[list[int]] = [[d] for d in range(len(domains))]
 
-    @staticmethod
-    def _cover(request, starts, ends, run_end, coverage: ExtentList, rank_of):
-        """Request segments cut to one coverage."""
-        env = coverage.envelope()
-        sel = slice(
-            int(np.searchsorted(run_end, env.offset, side="right")),
-            int(np.searchsorted(starts, env.end, side="left")),
+        # Every coverage extent, tagged with its domain, selects the
+        # request segments it may overlap: one searchsorted pair each.
+        coverages = [d.coverage for d in domains]
+        c_lo = np.concatenate([c.starts for c in coverages] or [_NONE])
+        c_hi = np.concatenate([c.ends for c in coverages] or [_NONE])
+        c_dom = np.repeat(
+            np.arange(len(coverages)), np.asarray([len(c) for c in coverages], dtype=np.int64)
         )
-        c_lo, c_hi = coverage.starts, coverage.ends
-        request, starts, ends = request[sel], starts[sel], ends[sel]
-        # Coverage extents each segment overlaps: [first, last).
-        first = np.searchsorted(c_hi, starts, side="right")
-        last = np.searchsorted(c_lo, ends, side="left")
-        counts = np.maximum(last - first, 0)
-        total = int(counts.sum())
-        seg = np.repeat(np.arange(starts.size), counts)
-        ext = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        return _Segments(
-            np.maximum(starts[seg], c_lo[ext]),
-            np.minimum(ends[seg], c_hi[ext]),
-            request[seg],
-            rank_of,
+        ext, seg = _expand(
+            run_end.searchsorted(c_lo, side="right"), starts.searchsorted(c_hi, side="left")
         )
+        seg_lo = np.maximum(starts[seg], c_lo[ext])
+        seg_hi = np.minimum(ends[seg], c_hi[ext])
+        # Segments inside a range may still end before its extent starts.
+        keep = seg_hi > seg_lo
+        dom, seg_lo, seg_hi, seg = c_dom[ext[keep]], seg_lo[keep], seg_hi[keep], seg[keep]
+        # Equal (domain, start) pairs lie in one coverage extent, where
+        # the expansion already holds them in segment order.
+        order = np.lexsort((seg_lo, dom))
+        dom = dom[order]
+        self.start, self.end = seg_lo[order], seg_hi[order]
+        self.request = request[seg[order]]
+
+        self.bounds = np.unique(np.concatenate([self.start, self.end]))
+        band = dom * self.bounds.size
+        self.start_key = band + self.bounds.searchsorted(self.start)
+        self.reach_key = np.maximum.accumulate(band + self.bounds.searchsorted(self.end))
+        self.aggregators = np.asarray([d.aggregator for d in domains], dtype=np.int64)
+        self.parts: list[list[int]] = [[d] for d in range(len(domains))]
 
     def remerge(self, src: int, taker: int) -> None:
         """Domain ``taker`` takes over everything domain ``src`` serves."""
         self.parts[taker] = self.parts[taker] + self.parts[src]
         self.parts[src] = []
 
-    def pieces(
-        self, d: int, window: ExtentList, *, with_extents: bool = False
-    ) -> list[ExchangePiece]:
-        """Domain ``d``'s pieces for one window, per part in candidate order."""
-        out: list[ExchangePiece] = []
-        agg = self.aggregators[d]
-        for part in self.parts[d]:
-            segs = self.segments[part]
-            cand, starts, ends = segs.cut(window)
-            # Runs of equal candidates are one piece each.
-            runs: list[list[int]] = []  # [candidate, first segment, bytes]
-            for k, (c, n) in enumerate(zip(cand.tolist(), (ends - starts).tolist())):
-                if runs and runs[-1][0] == c:
-                    runs[-1][2] += n
-                else:
-                    runs.append([c, k, n])
-            for j, (c, first, nbytes) in enumerate(runs):
-                piece = None
-                if with_extents:
-                    last = runs[j + 1][1] if j + 1 < len(runs) else cand.size
-                    piece = ExtentList(starts[first:last], ends[first:last])
-                out.append(ExchangePiece(segs.ranks[c], agg, d, nbytes, piece))
-        return out
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(k, j)`` with ``lo[k] <= j < hi[k]``, as two columns, k-major."""
+    counts = np.maximum(hi - lo, 0)
+    owner = np.arange(lo.size).repeat(counts)
+    index = (lo - (counts.cumsum() - counts)).repeat(counts) + np.arange(int(counts.sum()))
+    return owner, index
 
 
 def plan_exchange(
@@ -180,18 +164,62 @@ def plan_exchange(
     windows: Sequence[ExtentList],
     *,
     with_extents: bool = False,
-) -> list[ExchangePiece]:
+) -> ExchangePieces:
     """Every domain's pieces for its round window ``windows[d]``.
 
     Pieces come per domain, then per part (the domain's own coverage
     first, remerged coverage after), then per source request in request
     order. ``with_extents`` also builds each piece's extent list.
+
+    One query per (domain, part, window extent): a ``searchsorted`` pair
+    on the index's banded keys selects the part's segments the extent
+    may touch, one expansion clips them all, one ``lexsort`` by (query
+    group, request) groups them, and ``np.add.reduceat`` sums each
+    (group, request) run into one piece.
     """
-    pieces: list[ExchangePiece] = []
+    g_dom, g_part, lows, highs = [], [], [], []
     for d, window in enumerate(windows):
         if not window.is_empty:
-            pieces += index.pieces(d, window, with_extents=with_extents)
-    return pieces
+            for part in index.parts[d]:
+                g_dom.append(d)
+                g_part.append(part)
+                lows.append(window.starts)
+                highs.append(window.ends)
+    if not g_dom:
+        return ExchangePieces(_NONE, _NONE, _NONE, _NONE, [] if with_extents else None)
+    w_lo = np.concatenate(lows)
+    w_hi = np.concatenate(highs)
+    query = np.arange(len(lows)).repeat([lo.size for lo in lows])
+    bounds = index.bounds
+    band = np.asarray(g_part, dtype=np.int64)[query] * bounds.size
+    lo = index.reach_key.searchsorted(band + bounds.searchsorted(w_lo, side="right"))
+    hi = index.start_key.searchsorted(band + bounds.searchsorted(w_hi, side="left"))
+    # Window extents are sorted and disjoint, so each query group's
+    # expansion is already in start order.
+    ext, seg = _expand(lo, hi)
+    starts = np.maximum(index.start[seg], w_lo[ext])
+    ends = np.minimum(index.end[seg], w_hi[ext])
+    keep = ends > starts
+    group, request = query[ext[keep]], index.request[seg[keep]]
+    order = np.lexsort((request, group))
+    group, request = group[order], request[order]
+    starts, ends = starts[keep][order], ends[keep][order]
+    # Runs of equal (group, request) are one piece each.
+    new = np.ones(group.size, dtype=bool)
+    new[1:] = (group[1:] != group[:-1]) | (request[1:] != request[:-1])
+    first = np.flatnonzero(new)
+    domain = np.asarray(g_dom, dtype=np.int64)[group[first]]
+    extents = None
+    if with_extents:
+        last = [*first[1:].tolist(), group.size]
+        extents = [ExtentList(starts[a:b], ends[a:b]) for a, b in zip(first.tolist(), last)]
+    return ExchangePieces(
+        index.rank_of[request[first]],
+        index.aggregators[domain],
+        domain,
+        np.add.reduceat(ends - starts, first),
+        extents,
+    )
 
 
 class ShuffleCharges(NamedTuple):
@@ -209,7 +237,7 @@ class ShuffleCharges(NamedTuple):
 
 
 def shuffle_flows(
-    pieces: Sequence[ExchangePiece],
+    pieces: ExchangePieces,
     comm: SimComm,
     kind: IOKind,
     ids: ResourceIds,
@@ -240,8 +268,9 @@ def shuffle_flows(
     the whole round (an aggregator rank that owns several domains then
     gets one flow per source node).
     """
-    cols = np.array([p[:4] for p in pieces], dtype=np.int64).reshape(-1, 4)
-    src_rank, agg_rank, domain, nbytes = cols.T
+    src_rank, agg_rank, domain, nbytes = (
+        pieces.src_rank, pieces.agg_rank, pieces.domain, pieces.nbytes
+    )
     domains, counts = np.unique(domain, return_counts=True)
     src_node = comm.nodes_of(src_rank)
     agg_node = comm.nodes_of(agg_rank)

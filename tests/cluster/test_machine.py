@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import (
-    MachineModel,
     NodeSpec,
     StorageSpec,
     exascale_2018,

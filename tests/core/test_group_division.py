@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, NetworkModel, scaled_testbed
 from repro.core import MemoryConsciousConfig, detect_serial, divide_groups
 from repro.mpi import AccessRequest, SimComm
-from repro.util import ExtentList, mib
+from repro.util import ExtentList
 from repro.workloads import IORWorkload
 
 

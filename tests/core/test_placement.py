@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     MemoryConsciousConfig,
@@ -12,7 +15,7 @@ from repro.core import (
     place_group,
     rebalance,
 )
-from repro.core.placement import Assignment, build_domains
+from repro.core.placement import Assignment, Slot, build_domains
 from repro.io import make_context
 from repro.cluster import scaled_testbed
 from repro.mpi import AccessRequest
@@ -192,6 +195,130 @@ class TestRebalance:
         plan = SlotPlan.build(ctx, CFG)
         out, moves = rebalance(plan, [])
         assert out == [] and moves == 0
+
+
+def _reference_rebalance(plan, assignments, *, max_moves=None):
+    """The per-move scan that preceded the array rebalancer."""
+    if not assignments:
+        return assignments, 0
+    if max_moves is None:
+        max_moves = 4 * len(assignments)
+    by_slot = {}
+    for i, a in enumerate(assignments):
+        by_slot.setdefault(a.slot_id, []).append(i)
+    out = list(assignments)
+    moves = 0
+    eps = 1e-9
+
+    while moves < max_moves:
+        worst = max(plan.slots, key=lambda s: s.projected_rounds())
+        worst_rounds = worst.projected_rounds()
+        if worst_rounds <= 0:
+            break
+        indices = sorted(
+            by_slot.get(worst.slot_id, ()), key=lambda i: out[i].nbytes
+        )
+        best_move = None
+        for i in indices:
+            a = out[i]
+            a_bytes = a.nbytes
+            local = [
+                s
+                for node in a.host_ranks
+                for s in plan.by_node.get(node, ())
+            ]
+            for pool in (local, plan.slots):
+                for target in pool:
+                    if target.slot_id == a.slot_id:
+                        continue
+                    new_max = max(
+                        (worst.load - a_bytes) / worst.buffer_bytes,
+                        target.projected_rounds(a_bytes),
+                    )
+                    if new_max < worst_rounds - eps and (
+                        best_move is None or new_max < best_move[0] - eps
+                    ):
+                        best_move = (new_max, i, target)
+                if best_move is not None:
+                    break
+            if best_move is not None:
+                break
+        if best_move is None:
+            break
+        _, i, target = best_move
+        a = out[i]
+        plan.slots[a.slot_id].load -= a.nbytes
+        target.load += a.nbytes
+        by_slot[a.slot_id].remove(i)
+        by_slot.setdefault(target.slot_id, []).append(i)
+        out[i] = replace(a, slot_id=target.slot_id)
+        moves += 1
+    return out, moves
+
+
+_GIB = 10**9
+#: Small buffers tie projected rounds exactly; the ~1e9 ones put
+#: candidate values within ``eps`` (1e-9) of each other.
+_buffers = st.sampled_from([1, 2, 3, 4, 6, _GIB - 1, _GIB, _GIB + 1, 2 * _GIB, 2 * _GIB + 1])
+_sizes = st.one_of(
+    st.integers(1, 8), st.integers(_GIB - 3, _GIB + 3), st.integers(1, 3 * _GIB)
+)
+
+
+@st.composite
+def _slot_plans(draw):
+    """Slots on a few nodes (some nodes slotless) and assignments on them."""
+    n_nodes = draw(st.integers(1, 4))
+    slots = [
+        (draw(st.integers(0, n_nodes - 1)), draw(_buffers), draw(st.sampled_from([0, 0, 1, _GIB])))
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    assignments = []
+    for _ in range(draw(st.integers(1, 12))):
+        hosts = draw(st.lists(st.integers(0, n_nodes + 1), max_size=3, unique=True))
+        assignments.append(
+            (draw(st.integers(0, len(slots) - 1)), draw(_sizes), tuple(hosts))
+        )
+    max_moves = draw(st.one_of(st.none(), st.integers(0, 4)))
+    return slots, assignments, max_moves
+
+
+def _build(slots, assignments):
+    plan = SlotPlan(
+        [Slot(i, node, buffer, load=extra) for i, (node, buffer, extra) in enumerate(slots)]
+    )
+    out = []
+    for k, (slot_id, nbytes, hosts) in enumerate(assignments):
+        out.append(
+            Assignment(
+                slot_id,
+                ExtentList.single(k * 4 * _GIB, nbytes),
+                0,
+                {node: ((node, 1),) for node in hosts},
+            )
+        )
+        plan.slots[slot_id].load += nbytes
+    return plan, out
+
+
+#: Two targets whose ``new_max`` differ by less than ``eps`` (1.0 and
+#: 0.9999999995): the scan keeps the first, on a local host and remotely.
+_EPS_TIE = [(0, _GIB, 0), (1, 2 * _GIB, 0), (1, 2 * _GIB + 1, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_slot_plans())
+@example(case=(_EPS_TIE, [(0, 2 * _GIB, (1,))], None))
+@example(case=(_EPS_TIE, [(0, 2 * _GIB, ())], None))
+def test_rebalance_matches_the_per_move_scan(case):
+    slots, assignments, max_moves = case
+    plan, assts = _build(slots, assignments)
+    ref_plan, ref_assts = _build(slots, assignments)
+    out, moves = rebalance(plan, assts, max_moves=max_moves)
+    ref_out, ref_moves = _reference_rebalance(ref_plan, ref_assts, max_moves=max_moves)
+    assert moves == ref_moves
+    assert [a.slot_id for a in out] == [a.slot_id for a in ref_out]
+    assert [s.load for s in plan.slots] == [s.load for s in ref_plan.slots]
 
 
 class TestBuildDomains:

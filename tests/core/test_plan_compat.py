@@ -23,7 +23,7 @@ import pytest
 from repro.analysis import verify_plan
 from repro.api import Experiment
 from repro.campaign import PlanCache
-from repro.core import plan_from_dict, plan_to_dict
+from repro.core import plan_from_dict
 from repro.core.plans import PLAN_FORMAT_VERSION, SUPPORTED_PLAN_VERSIONS
 from repro.metrics.export import result_to_dict
 from repro.util import mib

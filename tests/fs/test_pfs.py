@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster import BISECTION, membw, nic_in, nic_out, testbed_640

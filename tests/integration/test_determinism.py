@@ -8,13 +8,10 @@ disk.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.cluster import scaled_testbed
 from repro.core import MemoryConsciousCollectiveIO, MemoryConsciousConfig
 from repro.io import CollectiveHints, TwoPhaseCollectiveIO, make_context
-from repro.util import ExtentList, kib, mib
+from repro.util import kib, mib
 from repro.workloads import IORWorkload
 
 CFG = MemoryConsciousConfig(

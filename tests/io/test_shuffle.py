@@ -15,7 +15,13 @@ from repro.cluster import BISECTION, Cluster, NetworkModel, membw, nic_in, nic_o
 from repro.cluster.remote_pool import pool_link
 from repro.fs.pfs import ParallelFileSystem
 from repro.io.domains import FileDomain
-from repro.io.shuffle import ExchangeIndex, ExchangePiece, plan_exchange, shuffle_flows
+from repro.io.shuffle import (
+    ExchangeIndex,
+    ExchangePiece,
+    ExchangePieces,
+    plan_exchange,
+    shuffle_flows,
+)
 from repro.mpi import AccessRequest, SimComm
 from repro.sim.flows import ChargeLedger, Flow, ResourceIds
 from repro.util import Extent, ExtentList
@@ -53,7 +59,7 @@ class TestPlanExchange:
         reqs = [AccessRequest(0, ExtentList.from_pairs([(0, 10)]))]
         domains = [_domain(0, 10, 0)]
         pieces = plan_exchange(ExchangeIndex(reqs, domains), [ExtentList.empty()])
-        assert pieces == []
+        assert len(pieces) == 0 and list(pieces) == []
 
     def test_bytes_conserved(self, comm):
         reqs = [AccessRequest(r, ExtentList.single(r * 50, 50)) for r in range(4)]
@@ -145,15 +151,19 @@ def _exchange_cases(draw):
     return requests, domains, src, taker, windows
 
 
-def _reference_pieces(requests, domains, src, taker, windows):
-    """The per-pair ``ExtentList.intersect`` exchange, remerge included."""
+def _reference_pieces(requests, domains, remerges, windows):
+    """The per-pair ``ExtentList.intersect`` exchange, remerges included.
+
+    ``remerges`` lists ``(src, taker)`` pairs in the order they happen.
+    """
     candidates = [
         [(r, r.extents.intersect(d.coverage)) for r in requests]
         for d in domains
     ]
     candidates = [[(r, p) for r, p in cands if not p.is_empty] for cands in candidates]
-    candidates[taker] = candidates[taker] + candidates[src]
-    candidates[src] = []
+    for src, taker in remerges:
+        candidates[taker] = candidates[taker] + candidates[src]
+        candidates[src] = []
     out = []
     for d, window in enumerate(windows):
         for req, dom_piece in candidates[d]:
@@ -165,22 +175,91 @@ def _reference_pieces(requests, domains, src, taker, windows):
     return out
 
 
+def _check_exchange(requests, domains, remerges, windows):
+    index = ExchangeIndex(requests, domains)
+    for src, taker in remerges:
+        index.remerge(src, taker)
+    pieces = plan_exchange(index, windows, with_extents=True)
+    got = [
+        (p.domain_index, p.src_rank, p.agg_rank, p.nbytes, p.piece.to_pairs())
+        for p in pieces
+    ]
+    assert len(pieces) == len(got)
+    assert got == _reference_pieces(requests, domains, remerges, windows)
+    columns = plan_exchange(index, windows)
+    without = [
+        (p.domain_index, p.src_rank, p.agg_rank, p.nbytes, p.piece)
+        for p in columns
+    ]
+    assert len(columns) == len(without)
+    assert without == [(*g[:4], None) for g in got]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_exchange_cases())
 def test_columnar_exchange_matches_per_pair_intersections(case):
     requests, domains, src, taker, windows = case
-    index = ExchangeIndex(requests, domains)
-    index.remerge(src, taker)
-    got = [
-        (p.domain_index, p.src_rank, p.agg_rank, p.nbytes, p.piece.to_pairs())
-        for p in plan_exchange(index, windows, with_extents=True)
+    _check_exchange(requests, domains, [(src, taker)], windows)
+
+
+@st.composite
+def _interleaved_cases(draw, n_domains, base, span):
+    """Domains whose coverages interleave, and two chained remerges.
+
+    The file ``[base, base + span)`` is cut into chunks dealt to domains
+    at random (some to none), so a domain's coverage envelope spans other
+    domains' bytes. Requests are random extent sets with ranks in random
+    order. Domain ``a`` remerges onto ``b``, then ``b`` onto ``c``.
+    """
+    n = draw(n_domains)
+    cuts = sorted(draw(st.sets(st.integers(1, span - 1), min_size=n, max_size=3 * n)))
+    chunks = list(zip([0, *cuts], [*cuts, span]))
+    owner = list(range(n)) + [
+        draw(st.integers(-1, n - 1)) for _ in range(len(chunks) - n)
     ]
-    assert got == _reference_pieces(requests, domains, src, taker, windows)
-    without = [
-        (p.domain_index, p.src_rank, p.agg_rank, p.nbytes, p.piece)
-        for p in plan_exchange(index, windows)
-    ]
-    assert without == [(*g[:4], None) for g in got]
+    owner = draw(st.permutations(owner))
+    domains = []
+    for d in range(n):
+        cov = ExtentList.from_pairs(
+            (base + lo, hi - lo) for (lo, hi), o in zip(chunks, owner) if o == d
+        )
+        env = cov.envelope()
+        domains.append(FileDomain(Extent(env.offset, env.length), cov, 2 * d, cov.total))
+    extent_sets = st.lists(
+        st.tuples(st.integers(0, span - 1), st.integers(1, span // 4)), min_size=1, max_size=6
+    ).map(lambda pairs: ExtentList.from_pairs((base + o, min(k, span - o)) for o, k in pairs))
+    ranks = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    requests = [AccessRequest(rank, draw(extent_sets)) for rank in ranks]
+    a, b, c = draw(st.permutations(range(n)))[:3]
+    remerges = [(a, b), (b, c)]
+    remaining = []
+    for d in domains:
+        done = draw(st.integers(0, d.coverage.total))
+        remaining.append(d.coverage.slice_bytes(done, d.coverage.total))
+    for src, taker in remerges:
+        remaining[taker] = remaining[taker].union(remaining[src])
+        remaining[src] = ExtentList.empty()
+    windows = [rem.slice_bytes(0, draw(st.integers(1, span))) for rem in remaining]
+    return requests, domains, remerges, windows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_interleaved_cases(st.integers(3, 6), 0, _SPAN))
+def test_exchange_with_interleaved_coverages_and_chained_remerges(case):
+    _check_exchange(*case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=st.integers(1 << 50, 1 << 62).flatmap(
+        lambda base: _interleaved_cases(st.integers(100, 200), base, 1 << 14)
+    )
+)
+def test_exchange_keys_hold_at_huge_offsets_and_many_domains(case):
+    # Offsets from 2**50 to 2**62 with a hundred domains or more: a key
+    # built from raw offsets (domain * file size + offset) overflows int64
+    # on most of these files.
+    _check_exchange(*case)
 
 
 # --------------------------------------- columnar charges vs per-Flow charging
@@ -261,6 +340,12 @@ def _charge_cases(draw):
     return aggs, rounds, derates
 
 
+def _columns(pieces):
+    """A list of pieces as the columns ``plan_exchange`` returns."""
+    cols = np.array([p[:4] for p in pieces], dtype=np.int64).reshape(-1, 4)
+    return ExchangePieces(*cols.T)
+
+
 def _capacities(kind, n_domains):
     caps = _COMM.network.capacity_map(_CLUSTER)
     caps.update(_PFS.capacity_map(kind))
@@ -322,7 +407,7 @@ def test_columnar_charges_match_per_flow_reference(case, kind, two_layer, faulte
 
         # Columnar: the round engine's building blocks.
         shuffle = shuffle_flows(
-            pieces, _COMM, kind, ids, two_layer=two_layer, merge_across_domains=merge
+            _columns(pieces), _COMM, kind, ids, two_layer=two_layer, merge_across_domains=merge
         )
         round_sh, sh_by_key = ledger.charge(
             shuffle.charges if shuffle.merged is None else shuffle.merged, derate
