@@ -3,8 +3,8 @@
 The paper's motivation (Table 1) is a design point with ~4444× today's
 concurrency; this benchmark checks the reproduction can actually *plan*
 at that scale. It flattens a segmented IOR workload straight into
-columnar arrays (no per-rank request objects), runs the columnar planner
-(:meth:`~repro.core.driver.MemoryConsciousCollectiveIO.plan_flat`), and
+columnar arrays (no per-rank request objects), runs the planner
+(:meth:`~repro.core.driver.MemoryConsciousCollectiveIO.plan`), and
 prices the resulting domain set with the closed-form model
 (:func:`~repro.analysis.model.price_domains`) — planning a 1M-rank /
 50k-node collective end to end in seconds on one core.
@@ -65,7 +65,7 @@ def run_point(n_ranks: int, n_nodes: int) -> dict:
     t_flatten = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    domains, stats, group_sizes = strategy.plan_flat(ctx, flat)
+    domains, stats, group_sizes = strategy.plan(ctx, flat).as_tuple()
     t_plan = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Adaptive middleware: profile the pattern, pick the strategy, run it.
+"""Adaptive middleware: price the pattern, pick the strategy, run it.
 
 Uses the MPI-IO style :class:`CollectiveFile` facade together with the
-strategy advisor: three very different applications open the same
-simulated machine, the advisor inspects each one's flattened access
-pattern and the memory situation, explains its reasoning, and the
-chosen strategy executes the collective write (byte-verified).
+cost-model strategy chooser behind ``strategy="auto"``
+(:func:`repro.analysis.select_strategy`): three very different
+applications open the same simulated machine, the chooser prices every
+candidate strategy from each one's flattened access pattern, prints the
+price vector, and the cheapest strategy executes the collective write
+(byte-verified).
 
 Run:  python examples/adaptive_io.py
 """
@@ -25,7 +27,8 @@ from repro import (
     render_table,
     scaled_testbed,
 )
-from repro.core import advise
+from repro.analysis import select_strategy
+from repro.api import resolve_strategy
 from repro.workloads import (
     CheckpointWorkload,
     DatasetSpec,
@@ -34,10 +37,14 @@ from repro.workloads import (
 )
 
 N = 24
+PPN = 12
+HINTS = CollectiveHints(cb_buffer_size=mib(4))
+CONFIG = MemoryConsciousConfig(
+    msg_ind=mib(2), msg_group=mib(16), nah=4, mem_min=mib(1) // 2
+)
 
 
-def scenario_contexts():
-    machine = scaled_testbed(4, cores_per_node=12)
+def scenario_contexts(machine):
     scenarios = [
         (
             "bulk dump (contiguous 16 MiB/rank)",
@@ -59,8 +66,8 @@ def scenario_contexts():
     ]
     for title, workload, avail in scenarios:
         ctx = make_context(
-            machine, N, procs_per_node=12, track_data=True, seed=31,
-            hints=CollectiveHints(cb_buffer_size=mib(4)),
+            machine, N, procs_per_node=PPN, track_data=True, seed=31,
+            hints=HINTS,
         )
         ctx.cluster.apply_memory_variance(
             ctx.rng, mean_available=avail, std=mib(8)
@@ -69,18 +76,24 @@ def scenario_contexts():
 
 
 def main() -> None:
+    machine = scaled_testbed(4, cores_per_node=PPN)
     rows = []
-    for title, workload, ctx in scenario_contexts():
-        requests = workload.requests(with_data=True)
-        rec = advise(ctx, requests)
-        print(f"{title}:")
-        for reason in rec.reasons:
-            print(f"  - {reason}")
-        strategy = rec.build(
-            MemoryConsciousConfig(msg_ind=mib(2), msg_group=mib(16),
-                                  nah=4, mem_min=mib(1) // 2)
+    for title, workload, ctx in scenario_contexts(machine):
+        choice = select_strategy(
+            machine,
+            workload.flat_requests(),
+            n_procs=N,
+            procs_per_node=PPN,
+            hints=HINTS,
+            config=CONFIG,
         )
+        print(f"{title}: predicted time per strategy")
+        for name, price in sorted(choice.prices.items(), key=lambda kv: kv[1]):
+            mark = "  <- chosen" if name == choice.chosen else ""
+            print(f"  {name:<12} {price * 1e3:9.2f} ms{mark}")
+        strategy = resolve_strategy(choice.chosen, machine, CONFIG)
 
+        requests = workload.requests(with_data=True)
         file = CollectiveFile.open(ctx, "out.dat", strategy=strategy)
         result = strategy.write(ctx, file.sim_file, requests)
 
@@ -91,7 +104,7 @@ def main() -> None:
         rows.append(
             (
                 title,
-                rec.strategy_name,
+                choice.chosen,
                 f"{result.bandwidth / mib(1):.0f} MiB/s",
                 "yes" if ok else "NO",
             )
@@ -99,7 +112,7 @@ def main() -> None:
         print()
     print(
         render_table(
-            ["scenario", "advised strategy", "bandwidth", "verified"],
+            ["scenario", "chosen strategy", "bandwidth", "verified"],
             rows,
             title="adaptive strategy selection",
         )

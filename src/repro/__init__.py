@@ -51,7 +51,6 @@ from .core import (
     PartitionTree,
     TuningResult,
     auto_tune,
-    divide_groups,
 )
 from .faults import FaultEvent, FaultRuntime, FaultSpec
 from .fs import FileImage, ParallelFileSystem, SimFile, StripingLayout
@@ -177,7 +176,6 @@ __all__ = [
     "MemoryConsciousCollectiveIO",
     "MemoryConsciousConfig",
     "PartitionTree",
-    "divide_groups",
     "auto_tune",
     "TuningResult",
     # workloads

@@ -68,7 +68,7 @@ from .analysis.selection import (
     StrategyChoice,
     select_strategy,
 )
-from .mpi.requests import AccessRequest
+from .mpi.requests import AccessRequest, flatten_requests
 from .util import kib, mib
 from .util.errors import ConfigurationError
 from .workloads import (
@@ -438,7 +438,7 @@ class Experiment:
             )
         if ctx is None:
             ctx = self.context()
-        plan = strategy.build_plan(ctx, self.requests())
+        plan = strategy.plan(ctx, flatten_requests(self.requests()))
         # Stamp the plan with the experiment identity it was built for,
         # so cached copies can be checked against the cache key they are
         # loaded under (repro.analysis.verify PV111).

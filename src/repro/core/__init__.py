@@ -1,6 +1,5 @@
 """Memory-Conscious Collective I/O: the paper's core contribution."""
 
-from .advisor import PatternProfile, Recommendation, advise, profile_requests
 from .columnar import (
     GroupPieces,
     PieceCandidateSource,
@@ -9,8 +8,8 @@ from .columnar import (
 )
 from .config import MemoryConsciousConfig
 from .driver import MemoryConsciousCollectiveIO
-from .group_division import AggregationGroup, detect_serial, divide_groups
-from .partition_tree import PartitionNode, PartitionTree, offset_at_rank
+from .group_division import AggregationGroup
+from .partition_tree import PartitionNode, PartitionTree
 from .plans import (
     CollectivePlan,
     canonical_json,
@@ -22,7 +21,6 @@ from .placement import (  # noqa: F401
     Assignment,
     CandidateSource,
     PlacementStats,
-    RequestCandidateSource,
     Slot,
     SlotPlan,
     build_domains,
@@ -33,17 +31,10 @@ from .tuning import TuningResult, auto_tune, tune_group, tune_node
 
 __all__ = [
     "MemoryConsciousConfig",
-    "advise",
-    "profile_requests",
-    "PatternProfile",
-    "Recommendation",
     "MemoryConsciousCollectiveIO",
     "AggregationGroup",
-    "divide_groups",
-    "detect_serial",
     "PartitionTree",
     "PartitionNode",
-    "offset_at_rank",
     "CollectivePlan",
     "plan_to_dict",
     "plan_from_dict",
@@ -57,7 +48,6 @@ __all__ = [
     "build_domains",
     "Assignment",
     "CandidateSource",
-    "RequestCandidateSource",
     "GroupPieces",
     "PieceCandidateSource",
     "divide_groups_flat",

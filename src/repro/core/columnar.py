@@ -1,29 +1,25 @@
-"""Columnar planning hot path: plan collectives from flattened arrays.
+"""The planner: plan collectives from the workload's flattened columns.
 
-The object planner (:mod:`repro.core.driver` with ``engine="object"``)
-walks per-rank :class:`~repro.mpi.requests.AccessRequest` objects — fine
-at testbed scale, hopeless at the paper's Table 1 design point. This
-module re-derives the same plan from a :class:`~repro.mpi.requests.
-FlatAccess` columnar view of the workload: ``(offset, length, rank)``
-vectors, one prefix sum per group, and ``searchsorted`` sweeps in place
-of every per-object loop.
+Planning never walks per-rank :class:`~repro.mpi.requests.AccessRequest`
+objects; it reads a :class:`~repro.mpi.requests.FlatAccess` view of the
+workload — ``(offset, length, rank)`` vectors — so the paper's Table 1
+design point (a million ranks) plans in seconds. Offset–length lists are
+processed in bulk, with one prefix sum per group and ``searchsorted``
+sweeps in place of per-request loops:
 
-Equivalence is a hard requirement, not an aspiration: for the same
-workload the columnar plan serializes bit-identically to the object
-plan (same groups, trees, slots, aggregators, spec hash). The mapping
-that makes this mechanical:
-
-* group boundaries run through the *same* cut functions
-  (``_serial_boundaries_from`` / ``_interleaved_boundaries``) fed by
-  columnar-built node envelopes;
+* group boundaries come from the cut rules of
+  :mod:`~repro.core.group_division`, fed by columnar node envelopes;
 * group membership and leaf candidates come from one batched cut of the
   flattened segments (:func:`~repro.util.intervals.
   split_segments_to_bins`), which keeps per-segment rank identity;
 * trees are built by :meth:`~repro.core.partition_tree.PartitionTree.
   build_indexed`, byte-rank arithmetic over one prefix sum;
-* placement is the untouched :func:`~repro.core.placement.place_group`,
-  handed a :class:`PieceCandidateSource` that answers leaf-candidate
-  queries from the piece table instead of re-intersecting requests.
+* placement is :func:`~repro.core.placement.place_group`, handed a
+  :class:`PieceCandidateSource` that answers leaf-candidate queries from
+  the piece table.
+
+The tests hold a per-request reference planner and require this one to
+produce bit-identical plans (same groups, trees, slots, aggregators).
 """
 
 from __future__ import annotations
@@ -80,8 +76,8 @@ class GroupPieces:
 
 
 def _node_infos_flat(flat: FlatAccess, nodes: np.ndarray) -> list[_NodeAccess]:
-    """Per-node access envelopes from columns — same output as the
-    object path's ``_node_accesses`` (ordering included)."""
+    """Per-node access envelopes (node, envelope, covered bytes), in
+    (start, end) order; ties keep first-appearance order."""
     if flat.n_segments == 0:
         return []
     ends = flat.ends
@@ -113,8 +109,7 @@ def _node_infos_flat(flat: FlatAccess, nodes: np.ndarray) -> list[_NodeAccess]:
     env_start = s[node_first]  # (node, start)-sorted: first is the min
     env_end = run_end[node_last] - uniq_nodes * big  # banded running max
 
-    # Emit in first-appearance order (the object path's dict order), then
-    # the same stable (start, end) sort — ties resolve identically.
+    # Emit in first-appearance order, then a stable (start, end) sort.
     infos = [
         _NodeAccess(
             int(uniq_nodes[j]),
@@ -133,11 +128,11 @@ def divide_groups_flat(
     comm: SimComm,
     config: MemoryConsciousConfig,
 ) -> tuple[list[AggregationGroup], list[GroupPieces]]:
-    """Columnar :func:`~repro.core.group_division.divide_groups`.
+    """Split the workload into aggregation groups per the configured mode.
 
     Returns the groups plus each group's piece table (the flattened
     segments cut at group boundaries), which downstream placement uses
-    for candidate lookups. Group objects match the object path exactly.
+    for candidate lookups.
     """
     aggregate = flat.aggregate()
     if aggregate.is_empty:
@@ -268,11 +263,7 @@ def plan_columnar(
     flat: FlatAccess,
     config: MemoryConsciousConfig,
 ) -> tuple[list[FileDomain], PlacementStats, dict[int, int]]:
-    """Run planning components 1-4 over a columnar workload.
-
-    The columnar twin of ``MemoryConsciousCollectiveIO.plan``; produces
-    an identical (domains, stats, group-sizes) triple.
-    """
+    """Run planning components 1-4; returns (domains, stats, group sizes)."""
     groups, group_pieces = divide_groups_flat(flat, ctx.comm, config)
     plan = SlotPlan.build(ctx, config)
     stats = PlacementStats()
@@ -290,7 +281,7 @@ def plan_columnar(
         )
         source = PieceCandidateSource(tree, pieces)
         placed, g_stats = place_group(
-            group, tree, {}, ctx, config, plan, candidates=source
+            group, tree, ctx, config, plan, candidates=source
         )
         assignments.extend(placed)
         stats.merge(g_stats)

@@ -1,13 +1,15 @@
 """Memory-Conscious Collective I/O — the paper's contribution.
 
-Orchestrates the four components over the shared round engine:
+Orchestrates the four components over the shared round engine, all on
+the workload's flattened ``(offset, length, rank)`` columns
+(:func:`~repro.core.columnar.plan_columnar`):
 
-1. :func:`~repro.core.group_division.divide_groups` — cut the workload
+1. :func:`~repro.core.columnar.divide_groups_flat` — cut the workload
    into disjoint aggregation groups (~``Msg_group`` bytes, node-aligned
    for serial distributions);
-2. :class:`~repro.core.partition_tree.PartitionTree` — per group,
-   recursively bisect the file region into domains of ≤ ``Msg_ind``
-   covered bytes;
+2. :meth:`~repro.core.partition_tree.PartitionTree.build_indexed` — per
+   group, recursively bisect the file region into domains of
+   ≤ ``Msg_ind`` covered bytes;
 3. remerging — domains whose candidate hosts lack ``Mem_min`` of memory
    fold into their neighbours (tree surgery, driven by the placer);
 4. :func:`~repro.core.placement.place_group` — pick each domain's
@@ -27,24 +29,12 @@ from typing import TYPE_CHECKING
 from ..fs.pfs import IOKind, SimFile
 from ..io.base import IOStrategy
 from ..io.context import IOContext
-from ..io.domains import FileDomain
 from ..io.result import CollectiveResult
 from ..io.rounds import execute_collective
 from ..mpi.requests import AccessRequest, FlatAccess, flatten_requests
-from ..util.errors import ConfigurationError
 from .columnar import plan_columnar
 from .config import MemoryConsciousConfig
-from .group_division import divide_groups
-from .partition_tree import PartitionTree
 from .plans import CollectivePlan
-from .placement import (
-    Assignment,
-    PlacementStats,
-    SlotPlan,
-    build_domains,
-    place_group,
-    rebalance,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.runtime import FaultRuntime
@@ -63,89 +53,26 @@ class MemoryConsciousCollectiveIO(IOStrategy):
     name = "memory-conscious"
     supports_faults = True
 
-    def __init__(
-        self,
-        config: MemoryConsciousConfig | None = None,
-        *,
-        engine: str = "columnar",
-    ) -> None:
+    def __init__(self, config: MemoryConsciousConfig | None = None) -> None:
         self.config = config if config is not None else MemoryConsciousConfig()
-        if engine not in ("columnar", "object"):
-            raise ConfigurationError(f"unknown planning engine {engine!r}")
-        # The engine is a constructor switch, NOT a config field: both
-        # engines produce bit-identical plans, so the choice must not
-        # leak into the serialized spec (and its hash). "object" keeps
-        # the per-request reference path alive for equivalence tests.
-        self.engine = engine
 
-    def plan(
-        self,
-        ctx: IOContext,
-        requests: Sequence[AccessRequest],
-    ) -> tuple[list[FileDomain], PlacementStats, dict[int, int]]:
-        """Run components 1–4; returns (domains, stats, group sizes).
+    def plan(self, ctx: IOContext, flat: FlatAccess) -> CollectivePlan:
+        """Run components 1-4 over a columnar workload, without executing.
 
-        Exposed separately so tests and ablations can inspect the plan
-        without executing it.
+        The plan carries the tunables it was built under (``msg_ind``,
+        ``mem_min``, the pool capacity) so the static verifier can
+        re-check the paper's invariants against the right bounds.
         """
-        if self.engine == "columnar":
-            return plan_columnar(ctx, flatten_requests(requests), self.config)
-        config = self.config
-        groups = divide_groups(requests, ctx.comm, config)
-        requests_by_rank = {r.rank: r for r in requests}
-        plan = SlotPlan.build(ctx, config)
-        stats = PlacementStats()
-        assignments: list[Assignment] = []
-        group_sizes: dict[int, int] = {}
-        align = ctx.pfs.layout.align_down if ctx.hints.align_domains_to_stripes else None
-        for group in groups:
-            tree = PartitionTree.build(
-                group.coverage,
-                config.msg_ind,
-                region=group.region,
-                align=align,
-            )
-            placed, g_stats = place_group(
-                group, tree, requests_by_rank, ctx, config, plan
-            )
-            assignments.extend(placed)
-            stats.merge(g_stats)
-            group_sizes[group.group_id] = len(group.member_ranks)
-        assignments, moves = rebalance(plan, assignments)
-        stats.n_rebalanced += moves
-        domains = build_domains(plan, assignments, ctx, config)
-        return domains, stats, group_sizes
-
-    def plan_flat(
-        self,
-        ctx: IOContext,
-        flat: FlatAccess,
-    ) -> tuple[list[FileDomain], PlacementStats, dict[int, int]]:
-        """Plan straight from a columnar workload — no request objects.
-
-        This is the million-rank entry point: workloads with closed-form
-        patterns emit :class:`~repro.mpi.requests.FlatAccess` columns
-        directly and planning never materializes a per-rank object.
-        """
-        return plan_columnar(ctx, flat, self.config)
-
-    def build_plan(
-        self,
-        ctx: IOContext,
-        requests: Sequence[AccessRequest],
-    ) -> CollectivePlan:
-        """Like :meth:`plan`, but packaged as a serializable value.
-
-        The packaged plan carries the tunables it was built under
-        (``msg_ind``, ``mem_min``) so the static verifier can re-check
-        the paper's invariants against the right bounds.
-        """
-        plan = CollectivePlan.from_tuple(self.plan(ctx, requests))
-        plan.msg_ind = self.config.msg_ind
-        plan.mem_min = self.config.mem_min
+        domains, stats, group_sizes = plan_columnar(ctx, flat, self.config)
         pool = ctx.machine.remote_pool
-        plan.pool_capacity = pool.capacity if pool is not None else 0
-        return plan
+        return CollectivePlan(
+            domains=domains,
+            stats=stats,
+            group_sizes=group_sizes,
+            msg_ind=self.config.msg_ind,
+            mem_min=self.config.mem_min,
+            pool_capacity=pool.capacity if pool is not None else 0,
+        )
 
     def run(
         self,
@@ -163,10 +90,9 @@ class MemoryConsciousCollectiveIO(IOStrategy):
         The simulated planning charge is identical either way — a cached
         plan saves the *host's* wall-clock, not the simulated machine's.
         """
-        if plan is not None:
-            domains, stats, group_sizes = plan.as_tuple()
-        else:
-            domains, stats, group_sizes = self.plan(ctx, requests)
+        if plan is None:
+            plan = self.plan(ctx, flatten_requests(requests))
+        domains, stats, group_sizes = plan.as_tuple()
         planning_time = (
             ctx.comm.allgather_time(32)  # per-process view/memory summary
             + _PLANNING_SECONDS_PER_DOMAIN * max(len(domains), 1)

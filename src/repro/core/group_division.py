@@ -17,6 +17,10 @@ stays inside a group. Two detection-driven modes:
 
 ``auto`` measures how much neighbouring nodes' regions overlap and picks
 the mode; ``off`` yields a single global group (the ablation baseline).
+
+This module holds the group type and the cut rules; the division itself
+runs on the workload's columns in
+:func:`~repro.core.columnar.divide_groups_flat`.
 """
 
 from __future__ import annotations
@@ -26,13 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mpi.comm import SimComm
-from ..mpi.requests import AccessRequest
-from ..util.errors import PartitionError
 from ..util.intervals import Extent, ExtentList
 from .config import MemoryConsciousConfig
 
-__all__ = ["AggregationGroup", "divide_groups", "detect_serial"]
+__all__ = ["AggregationGroup"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,26 +58,6 @@ class _NodeAccess:
     nbytes: int
 
 
-def _node_accesses(
-    requests: Sequence[AccessRequest], comm: SimComm
-) -> list[_NodeAccess]:
-    """Per-node access envelopes, ordered by start offset."""
-    by_node: dict[int, list[ExtentList]] = {}
-    for req in requests:
-        if req.extents.is_empty:
-            continue
-        by_node.setdefault(comm.node_of(req.rank), []).append(req.extents)
-    infos = []
-    for node_id, parts in by_node.items():
-        cov = ExtentList.union_all(parts)
-        env = cov.envelope()
-        infos.append(
-            _NodeAccess(node_id, env.offset, env.end, cov.total)
-        )
-    infos.sort(key=lambda n: (n.start, n.end))
-    return infos
-
-
 def _infos_serial(infos: Sequence[_NodeAccess], overlap_threshold: float) -> bool:
     """Serial-distribution test over pre-built node envelopes."""
     if len(infos) <= 1:
@@ -90,98 +71,6 @@ def _infos_serial(infos: Sequence[_NodeAccess], overlap_threshold: float) -> boo
         overlap += max(0, min(max_end, node.end) - node.start)
         max_end = max(max_end, node.end)
     return overlap / span_sum <= overlap_threshold
-
-
-def detect_serial(
-    requests: Sequence[AccessRequest],
-    comm: SimComm,
-    *,
-    overlap_threshold: float,
-) -> bool:
-    """True when per-node regions are ordered with little overlap."""
-    return _infos_serial(_node_accesses(requests, comm), overlap_threshold)
-
-
-def _members(
-    requests: Sequence[AccessRequest], region: Extent
-) -> tuple[int, ...]:
-    out = []
-    for req in requests:
-        if req.extents.is_empty:
-            continue
-        env = req.extents.envelope()
-        if env.end <= region.offset or env.offset >= region.end:
-            continue
-        if not req.extents.clip(region.offset, region.length).is_empty:
-            out.append(req.rank)
-    return tuple(sorted(out))
-
-
-def _groups_from_boundaries(
-    requests: Sequence[AccessRequest],
-    aggregate: ExtentList,
-    boundaries: list[int],
-) -> list[AggregationGroup]:
-    """Materialize groups from sorted cut offsets (incl. both ends)."""
-    groups: list[AggregationGroup] = []
-    for gid, (lo, hi) in enumerate(zip(boundaries, boundaries[1:])):
-        if hi <= lo:
-            raise PartitionError(f"non-monotone group boundaries at {lo}")
-        region = Extent(lo, hi - lo)
-        coverage = aggregate.clip(lo, hi - lo)
-        if coverage.is_empty:
-            continue
-        groups.append(
-            AggregationGroup(
-                group_id=len(groups),
-                region=region,
-                coverage=coverage,
-                member_ranks=_members(requests, region),
-            )
-        )
-    return groups
-
-
-def divide_groups(
-    requests: Sequence[AccessRequest],
-    comm: SimComm,
-    config: MemoryConsciousConfig,
-) -> list[AggregationGroup]:
-    """Split the workload into aggregation groups per the configured mode."""
-    aggregate = ExtentList.union_all([r.extents for r in requests])
-    if aggregate.is_empty:
-        return []
-    env = aggregate.envelope()
-
-    mode = config.group_mode
-    if mode == "auto":
-        mode = (
-            "serial"
-            if detect_serial(
-                requests, comm, overlap_threshold=config.serial_overlap_threshold
-            )
-            else "interleaved"
-        )
-
-    if mode == "off":
-        boundaries = [env.offset, env.end]
-    elif mode == "serial":
-        boundaries = _serial_boundaries(requests, comm, config, env)
-    elif mode == "interleaved":
-        boundaries = _interleaved_boundaries(aggregate, config, env)
-    else:  # pragma: no cover - config validates
-        raise PartitionError(f"unknown group mode {mode!r}")
-    return _groups_from_boundaries(requests, aggregate, boundaries)
-
-
-def _serial_boundaries(
-    requests: Sequence[AccessRequest],
-    comm: SimComm,
-    config: MemoryConsciousConfig,
-    env: Extent,
-) -> list[int]:
-    infos = _node_accesses(requests, comm)
-    return _serial_boundaries_from(infos, config, env)
 
 
 def _serial_boundaries_from(

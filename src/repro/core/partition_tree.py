@@ -33,22 +33,7 @@ from ..util.errors import PartitionError
 from ..util.intervals import Extent, ExtentList
 from ..util.validation import check_positive
 
-__all__ = ["PartitionNode", "PartitionTree", "offset_at_rank"]
-
-
-def offset_at_rank(coverage: ExtentList, rank: int) -> int:
-    """File offset of the byte with packed-stream rank ``rank``."""
-    if coverage.is_empty:
-        raise PartitionError("offset_at_rank on empty coverage")
-    if not 0 <= rank < coverage.total:
-        raise PartitionError(
-            f"rank {rank} outside [0, {coverage.total})"
-        )
-    lengths = coverage.lengths
-    cum = np.cumsum(lengths)
-    i = int(np.searchsorted(cum, rank, side="right"))
-    before = int(cum[i - 1]) if i > 0 else 0
-    return int(coverage.starts[i]) + (rank - before)
+__all__ = ["PartitionNode", "PartitionTree"]
 
 
 class PartitionNode:
@@ -99,7 +84,7 @@ class PartitionTree:
 
     # -------------------------------------------------------------- build
     @classmethod
-    def build(
+    def build_indexed(
         cls,
         coverage: ExtentList,
         msg_ind: int,
@@ -109,67 +94,16 @@ class PartitionTree:
     ) -> PartitionTree:
         """Recursively bisect until each leaf covers <= ``msg_ind`` bytes.
 
-        ``align`` optionally snaps split offsets (e.g. to stripe-unit
-        boundaries); a snap is discarded when it would produce an empty
-        half.
-        """
-        check_positive("msg_ind", msg_ind)
-        if coverage.is_empty:
-            raise PartitionError("cannot partition an empty access set")
-        env = coverage.envelope()
-        if region is None:
-            region = env
-        if env.offset < region.offset or env.end > region.end:
-            raise PartitionError(f"coverage {env} escapes region {region}")
-        root = PartitionNode(region.offset, region.end, coverage)
-        tree = cls(root)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            cov = node.coverage
-            assert cov is not None
-            total = cov.total
-            if total <= msg_ind or total < 2:
-                continue
-            median = offset_at_rank(cov, total // 2)
-            # Try the snapped cut first, then fall back to the raw
-            # covered-byte median — an align hook must never leave an
-            # oversized leaf behind when the unsnapped split was valid.
-            candidates = [median]
-            if align is not None and (snapped := align(median)) != median:
-                candidates.insert(0, snapped)
-            for split in candidates:
-                if not node.lo < split < node.hi:
-                    continue
-                left_cov = cov.clip(node.lo, split - node.lo)
-                if left_cov.is_empty or left_cov.total >= total:
-                    continue
-                right_cov = cov.clip(split, node.hi - split)
-                node.left = PartitionNode(node.lo, split, left_cov, parent=node)
-                node.right = PartitionNode(split, node.hi, right_cov, parent=node)
-                node.coverage = None
-                stack.append(node.left)
-                stack.append(node.right)
-                break
-        return tree
+        Each cut sits at the node's covered-byte median. ``align``
+        optionally snaps split offsets (e.g. to stripe-unit boundaries);
+        a snap is discarded when it would produce an empty half, and the
+        raw median is used instead.
 
-    @classmethod
-    def build_indexed(
-        cls,
-        coverage: ExtentList,
-        msg_ind: int,
-        *,
-        region: Extent | None = None,
-        align: Callable[[int], int] | None = None,
-    ) -> PartitionTree:
-        """Columnar :meth:`build`: one prefix sum, no per-split cumsum.
-
-        Produces a tree identical to :meth:`build` (same vertices, same
-        leaf coverages). Instead of materializing every internal node's
-        coverage and re-scanning it, each stack entry carries the node's
-        *byte-rank interval* ``[a, b)`` into the group coverage's packed
-        stream; medians, snap validation, and leaf coverages all reduce
-        to ``searchsorted`` against a single precomputed prefix sum.
+        No internal node's coverage is ever materialized: each stack
+        entry carries the node's *byte-rank interval* ``[a, b)`` into
+        the group coverage's packed stream, so medians, snap validation
+        and leaf coverages all reduce to ``searchsorted`` against one
+        prefix sum.
         """
         check_positive("msg_ind", msg_ind)
         if coverage.is_empty:

@@ -47,7 +47,6 @@ import numpy as np
 from ..faults.levers import price_borrow, price_remerge
 from ..io.context import IOContext
 from ..io.domains import FileDomain
-from ..mpi.requests import AccessRequest
 from ..util.errors import PlacementError
 from ..util.intervals import Extent, ExtentList
 from .config import MemoryConsciousConfig
@@ -60,7 +59,6 @@ __all__ = [
     "SlotPlan",
     "Assignment",
     "CandidateSource",
-    "RequestCandidateSource",
     "place_group",
     "rebalance",
     "build_domains",
@@ -218,28 +216,6 @@ class Assignment:
         return self.coverage.total
 
 
-def _candidates(
-    leaf: PartitionNode,
-    member_requests: Sequence[AccessRequest],
-    ctx: IOContext,
-) -> dict[int, tuple[tuple[int, int], ...]]:
-    """host node -> ((rank, bytes in leaf), ...) for intersecting procs."""
-    assert leaf.coverage is not None
-    hosts: dict[int, list[tuple[int, int]]] = {}
-    for req in member_requests:
-        if req.extents.is_empty:
-            continue
-        env = req.extents.envelope()
-        if env.end <= leaf.lo or env.offset >= leaf.hi:
-            continue
-        nbytes = req.extents.overlap_bytes(leaf.coverage)
-        if nbytes == 0:
-            continue
-        node_id = ctx.comm.node_of(req.rank)
-        hosts.setdefault(node_id, []).append((req.rank, nbytes))
-    return {node: tuple(ranks) for node, ranks in hosts.items()}
-
-
 class CandidateSource(Protocol):
     """Anything that can name a leaf's candidate hosts.
 
@@ -254,58 +230,31 @@ class CandidateSource(Protocol):
     ) -> dict[int, tuple[tuple[int, int], ...]]: ...
 
 
-class RequestCandidateSource:
-    """Leaf-candidate lookup over per-rank request objects (default)."""
-
-    def __init__(
-        self,
-        member_requests: Sequence[AccessRequest],
-        ctx: IOContext,
-    ) -> None:
-        self._member_requests = member_requests
-        self._ctx = ctx
-
-    def for_leaf(
-        self, leaf: PartitionNode
-    ) -> dict[int, tuple[tuple[int, int], ...]]:
-        return _candidates(leaf, self._member_requests, self._ctx)
-
-
 def place_group(
     group: AggregationGroup,
     tree: PartitionTree,
-    requests_by_rank: dict[int, AccessRequest],
     ctx: IOContext,
     config: MemoryConsciousConfig,
     plan: SlotPlan,
     *,
-    candidates: CandidateSource | None = None,
+    candidates: CandidateSource,
 ) -> tuple[list[Assignment], PlacementStats]:
     """Assign every leaf of one group's partition tree to a slot.
 
     Mutates ``tree`` (remerging) and ``plan`` (slot loads). Returns the
     leaf-to-slot assignments (merged into per-slot file domains by
     :func:`build_domains` once every group is placed) plus counters.
-    ``candidates`` overrides how a leaf's intersecting processes are
-    found — the columnar planner passes a precomputed piece-table
-    source; the default scans the group's member requests.
+    ``candidates`` names each leaf's intersecting processes.
     """
     stats = PlacementStats()
-    if candidates is None:
-        member_requests = [
-            requests_by_rank[r]
-            for r in group.member_ranks
-            if r in requests_by_rank
-        ]
-        candidates = RequestCandidateSource(member_requests, ctx)
     assigned: dict[int, Assignment] = {}  # id(leaf) -> assignment
     remerged_ids: set[int] = set()  # id(leaf) for remerge takers
 
-    # The first unassigned leaf in tree order only moves forward until a
-    # remerge reshapes the tree, so the leaves are walked once per shape.
+    # Leaves in tree order, kept in step with remerge surgery; every leaf
+    # before `pos` is assigned.
     leaves = tree.leaves()
     pos = 0
-    guard = 4 * max(tree.n_leaves, 1) + 8
+    guard = 4 * max(len(leaves), 1) + 8
     while True:
         guard -= 1
         if guard < 0:
@@ -341,8 +290,14 @@ def place_group(
                     _slot_of(plan, prior.slot_id).load -= (
                         taker.covered_bytes - covered
                     )
-                leaves = tree.leaves()
-                pos = 0
+                # Surgery is local: the departed leaf's in-order
+                # neighbour on the taker's side (its sibling in case 5a,
+                # the taker itself in case 5b) becomes the taker, and
+                # everything before it stays assigned.
+                del leaves[pos]
+                if taker.lo != leaf.lo:
+                    pos -= 1
+                leaves[pos] = taker
                 continue
             slot = plan.best_anywhere(covered)
             stats.n_fallbacks += 1

@@ -1,9 +1,9 @@
 """Plan objects: serializable output of the memory-conscious planner.
 
-A :class:`CollectivePlan` bundles what
-:meth:`~repro.core.driver.MemoryConsciousCollectiveIO.plan` produces —
+A :class:`CollectivePlan` is what
+:meth:`~repro.core.driver.MemoryConsciousCollectiveIO.plan` returns —
 the file domains, the placement statistics, and the per-group member
-counts — into one value that can be handed back to
+counts — as one value that can be handed back to
 :meth:`~repro.core.driver.MemoryConsciousCollectiveIO.run` to skip
 replanning, and that round-trips losslessly through JSON so campaign
 runs can cache plans on disk.
@@ -88,15 +88,6 @@ class CollectivePlan:
     pool_capacity: int = 0
     spec_hash: str = ""
     auto_choice: dict[str, Any] | None = None
-
-    @classmethod
-    def from_tuple(
-        cls,
-        parts: tuple[list[FileDomain], PlacementStats, dict[int, int]],
-    ) -> CollectivePlan:
-        """Wrap the ``plan()`` tuple (kept for existing callers)."""
-        domains, stats, group_sizes = parts
-        return cls(domains=list(domains), stats=stats, group_sizes=dict(group_sizes))
 
     def as_tuple(self) -> tuple[list[FileDomain], PlacementStats, dict[int, int]]:
         return self.domains, self.stats, self.group_sizes

@@ -200,14 +200,23 @@ def pattern_bytes(extents: ExtentList, salt: int = 0) -> np.ndarray:
     expected file image after any set of non-overlapping writes is
     computable without replaying the writes — the verification trick the
     integration tests rely on.
+
+    Byte ``off`` is ``(off * 2654435761 + salt) & 0xFF`` in uint64
+    arithmetic. Only the low 8 bits survive, and they depend only on the
+    operands' low 8 bits, so the whole formula runs in wrapping uint8
+    arithmetic on ``off mod 256``: one output-sized uint8 array and one
+    uint8 temporary, whatever the offsets.
     """
-    chunks = []
-    for ext in extents:
-        offs = np.arange(ext.offset, ext.end, dtype=np.uint64)
-        chunks.append(((offs * np.uint64(2654435761) + np.uint64(salt)) & np.uint64(0xFF)).astype(np.uint8))
-    if not chunks:
-        return np.empty(0, dtype=np.uint8)
-    return np.concatenate(chunks)
+    starts = extents.starts
+    lengths = extents.lengths
+    # Output position p of extent e holds offset starts[e] + p - pos[e].
+    pos = np.cumsum(lengths) - lengths
+    shift = ((starts - pos) & 0xFF).astype(np.uint8)
+    out = np.resize(np.arange(256, dtype=np.uint8), int(lengths.sum()))
+    out += np.repeat(shift, lengths)
+    out *= np.uint8(2654435761 & 0xFF)
+    out += np.uint8(salt & 0xFF)
+    return out
 
 
 def total_bytes(requests: Sequence[AccessRequest]) -> int:

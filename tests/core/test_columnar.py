@@ -1,10 +1,10 @@
-"""Columnar planning engine: FlatAccess plumbing and object-path parity.
+"""The columnar planner: FlatAccess plumbing and reference parity.
 
-The columnar engine's contract is *bit-identity*: for any workload it
-must produce the same serialized plan (``plan_to_dict``, spec hash and
-all) as the per-object reference path. These tests pin the contract on
-hand-built workloads, on the committed golden fixture, and on the
-flatten/round-trip plumbing underneath it.
+The planner's contract is *bit-identity* with the per-request reference
+planner in ``_object_planner``: for any workload both produce the same
+serialized plan (``plan_to_dict``, spec hash and all). These tests pin
+the contract on hand-built workloads, on the committed golden fixture,
+and on the flatten/round-trip plumbing underneath it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from repro.core.plans import plan_to_dict
 from repro.io import CollectiveHints, make_context
 from repro.mpi import AccessRequest, FlatAccess, flatten_requests
 from repro.util import ExtentList, kib, mib
-from repro.util.errors import ConfigurationError
 from repro.workloads import IORWorkload
+
+from ._object_planner import plan_requests
 
 GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "golden.plan.json"
 
@@ -77,20 +78,6 @@ class TestFlatAccess:
             np.testing.assert_array_equal(a.ranks, b.ranks)
 
 
-class TestEngineSwitch:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MemoryConsciousCollectiveIO(engine="simd")
-
-    def test_engines_share_spec(self):
-        cfg = MemoryConsciousConfig()
-        a = MemoryConsciousCollectiveIO(cfg, engine="object")
-        b = MemoryConsciousCollectiveIO(cfg, engine="columnar")
-        # The engine is presentation, not specification: both drivers
-        # describe the same experiment.
-        assert a.config == b.config
-
-
 def _plan_dict(engine: str, reqs, *, n_nodes=3, ppn=4, cfg=None):
     machine = scaled_testbed(n_nodes, cores_per_node=ppn)
     cfg = cfg or MemoryConsciousConfig(
@@ -103,8 +90,14 @@ def _plan_dict(engine: str, reqs, *, n_nodes=3, ppn=4, cfg=None):
         hints=CollectiveHints(cb_buffer_size=cfg.msg_ind),
     )
     ctx.cluster.set_uniform_available(mib(1))
-    strategy = MemoryConsciousCollectiveIO(cfg, engine=engine)
-    return plan_to_dict(strategy.build_plan(ctx, reqs))
+    return plan_to_dict(_plan(engine, ctx, reqs, cfg))
+
+
+def _plan(engine: str, ctx, reqs, cfg):
+    """Plan with the production planner ("columnar") or the reference."""
+    if engine == "object":
+        return plan_requests(ctx, reqs, cfg)
+    return MemoryConsciousCollectiveIO(cfg).plan(ctx, flatten_requests(reqs))
 
 
 class TestEngineParity:
@@ -144,10 +137,14 @@ class TestEngineParity:
             c.cluster.set_uniform_available(mib(1))
             return c
 
-        obj = MemoryConsciousCollectiveIO(cfg, engine="object")
-        col = MemoryConsciousCollectiveIO(cfg)
-        domains_o, stats_o, sizes_o = obj.plan(ctx(), wl.requests())
-        domains_c, stats_c, sizes_c = col.plan_flat(ctx(), wl.flat_requests())
+        domains_o, stats_o, sizes_o = plan_requests(
+            ctx(), wl.requests(), cfg
+        ).as_tuple()
+        domains_c, stats_c, sizes_c = (
+            MemoryConsciousCollectiveIO(cfg)
+            .plan(ctx(), wl.flat_requests())
+            .as_tuple()
+        )
         assert [
             (d.region, d.coverage, d.aggregator, d.buffer_bytes)
             for d in domains_o
@@ -160,7 +157,7 @@ class TestEngineParity:
 
 
 class TestGoldenFixtureParity:
-    """Both engines must regenerate the committed golden plan."""
+    """The planner and the reference must regenerate the golden plan."""
 
     EXPERIMENT = Experiment(
         machine="testbed-4", n_procs=8, procs_per_node=2,
@@ -174,8 +171,7 @@ class TestGoldenFixtureParity:
         exp = self.EXPERIMENT
         machine = exp.resolve_machine()
         base = exp.resolve_strategy(machine)
-        strategy = MemoryConsciousCollectiveIO(base.config, engine=engine)
-        plan = strategy.build_plan(exp.context(), exp.requests())
+        plan = _plan(engine, exp.context(), exp.requests(), base.config)
         plan.spec_hash = exp.spec_hash()
         regenerated = json.loads(json.dumps(plan_to_dict(plan)))
         assert regenerated == committed

@@ -7,7 +7,7 @@ import numpy as np
 from repro.core import MemoryConsciousCollectiveIO, MemoryConsciousConfig
 from repro.io import make_context
 from repro.cluster import scaled_testbed
-from repro.mpi import AccessRequest, pattern_bytes
+from repro.mpi import AccessRequest, flatten_requests, pattern_bytes
 from repro.util import ExtentList, mib
 from repro.workloads import IORWorkload
 
@@ -39,7 +39,9 @@ class TestPlan:
     def test_domains_cover_workload_once(self):
         ctx = make_ctx()
         reqs = serial_requests(8, mib(2), with_data=False)
-        domains, stats, groups = MemoryConsciousCollectiveIO(CFG).plan(ctx, reqs)
+        domains, stats, groups = MemoryConsciousCollectiveIO(CFG).plan(
+            ctx, flatten_requests(reqs)
+        ).as_tuple()
         union = ExtentList.union_all([d.coverage for d in domains])
         assert union == ExtentList.union_all([r.extents for r in reqs])
         assert sum(d.covered_bytes for d in domains) == union.total
@@ -47,7 +49,9 @@ class TestPlan:
     def test_buffers_respect_node_memory(self):
         ctx = make_ctx()
         reqs = serial_requests(8, mib(2), with_data=False)
-        domains, _, _ = MemoryConsciousCollectiveIO(CFG).plan(ctx, reqs)
+        domains, _, _ = MemoryConsciousCollectiveIO(CFG).plan(
+            ctx, flatten_requests(reqs)
+        ).as_tuple()
         per_node: dict[int, int] = {}
         for d in domains:
             node = ctx.comm.node_of(d.aggregator)
@@ -58,7 +62,9 @@ class TestPlan:
     def test_nah_respected(self):
         ctx = make_ctx()
         reqs = serial_requests(8, mib(2), with_data=False)
-        domains, _, _ = MemoryConsciousCollectiveIO(CFG).plan(ctx, reqs)
+        domains, _, _ = MemoryConsciousCollectiveIO(CFG).plan(
+            ctx, flatten_requests(reqs)
+        ).as_tuple()
         per_node: dict[int, int] = {}
         for d in domains:
             node = ctx.comm.node_of(d.aggregator)
@@ -116,9 +122,13 @@ class TestEndToEnd:
         ctx2 = make_ctx()
         # Skew the data so rank affinity matters.
         reqs = serial_requests(8, mib(1), with_data=False)
-        dyn, _, _ = MemoryConsciousCollectiveIO(CFG).plan(ctx1, reqs)
+        dyn, _, _ = MemoryConsciousCollectiveIO(CFG).plan(
+            ctx1, flatten_requests(reqs)
+        ).as_tuple()
         static_cfg = CFG.replace(dynamic_placement=False)
-        sta, _, _ = MemoryConsciousCollectiveIO(static_cfg).plan(ctx2, reqs)
+        sta, _, _ = MemoryConsciousCollectiveIO(static_cfg).plan(
+            ctx2, flatten_requests(reqs)
+        ).as_tuple()
         assert {d.aggregator for d in dyn} or {d.aggregator for d in sta}
 
     def test_grouping_off_single_group(self):

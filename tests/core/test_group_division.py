@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, NetworkModel, scaled_testbed
-from repro.core import MemoryConsciousConfig, detect_serial, divide_groups
-from repro.mpi import AccessRequest, SimComm
+from repro.core import MemoryConsciousConfig
+from repro.core.columnar import _node_infos_flat, divide_groups_flat
+from repro.core.group_division import _infos_serial
+from repro.mpi import AccessRequest, SimComm, flatten_requests
 from repro.util import ExtentList
 from repro.workloads import IORWorkload
 
@@ -15,6 +17,16 @@ def make_comm(n_procs=9, procs_per_node=3, n_nodes=3):
     machine = scaled_testbed(n_nodes, cores_per_node=procs_per_node)
     cluster = Cluster(machine, n_procs, procs_per_node=procs_per_node)
     return SimComm(cluster, NetworkModel(machine))
+
+
+def _divide(reqs, comm, config):
+    return divide_groups_flat(flatten_requests(reqs), comm, config)[0]
+
+
+def _is_serial(reqs, comm, *, overlap_threshold):
+    flat = flatten_requests(reqs)
+    infos = _node_infos_flat(flat, comm.nodes_of(flat.ranks))
+    return _infos_serial(infos, overlap_threshold)
 
 
 def serial_requests(n_procs, nbytes):
@@ -28,18 +40,18 @@ class TestDetectSerial:
     def test_serial_distribution_detected(self):
         comm = make_comm()
         reqs = serial_requests(9, 100)
-        assert detect_serial(reqs, comm, overlap_threshold=0.25)
+        assert _is_serial(reqs, comm, overlap_threshold=0.25)
 
     def test_interleaved_detected(self):
         comm = make_comm()
         wl = IORWorkload(9, block_size=1600, transfer_size=100)
         reqs = wl.requests()
-        assert not detect_serial(reqs, comm, overlap_threshold=0.25)
+        assert not _is_serial(reqs, comm, overlap_threshold=0.25)
 
     def test_single_node_trivially_serial(self):
         comm = make_comm(n_procs=3, procs_per_node=3, n_nodes=1)
         wl = IORWorkload(3, block_size=400, transfer_size=100)
-        assert detect_serial(wl.requests(), comm, overlap_threshold=0.25)
+        assert _is_serial(wl.requests(), comm, overlap_threshold=0.25)
 
 
 class TestFigure4Example:
@@ -58,7 +70,7 @@ class TestFigure4Example:
             mem_min=1,
             buffer_floor=1,
         )
-        groups = divide_groups(reqs, comm, config)
+        groups = _divide(reqs, comm, config)
         # Each node's 3 processes hold 300 B; groups close at node ends.
         assert [g.region.offset for g in groups] == [0, 300, 600]
         assert [g.region.end for g in groups] == [300, 600, 900]
@@ -77,7 +89,7 @@ class TestGroupInvariants:
         config = MemoryConsciousConfig(
             msg_group=4000, group_mode=mode, msg_ind=512, mem_min=1, buffer_floor=1
         )
-        groups = divide_groups(reqs, comm, config)
+        groups = _divide(reqs, comm, config)
         total = ExtentList.union_all([r.extents for r in reqs])
         union = ExtentList.union_all([g.coverage for g in groups])
         assert union == total
@@ -92,7 +104,7 @@ class TestGroupInvariants:
         config = MemoryConsciousConfig(
             msg_group=10, group_mode="off", msg_ind=64, mem_min=1, buffer_floor=1
         )
-        groups = divide_groups(reqs, comm, config)
+        groups = _divide(reqs, comm, config)
         assert len(groups) == 1
         assert groups[0].member_ranks == tuple(range(9))
 
@@ -103,7 +115,7 @@ class TestGroupInvariants:
             msg_group=9600, group_mode="interleaved", msg_ind=1024,
             mem_min=1, buffer_floor=1,
         )
-        groups = divide_groups(wl.requests(), comm, config)
+        groups = _divide(wl.requests(), comm, config)
         assert len(groups) == 3  # 28800 bytes / 9600
         sizes = [g.covered_bytes for g in groups]
         assert all(s == 9600 for s in sizes)
@@ -119,7 +131,7 @@ class TestGroupInvariants:
             msg_group=9600, group_mode="interleaved", msg_ind=1024,
             mem_min=1, buffer_floor=1,
         )
-        groups = divide_groups(wl.requests(), comm, config)
+        groups = _divide(wl.requests(), comm, config)
         assert len(groups) == 2
         sizes = [g.covered_bytes for g in groups]
         assert sizes == [7200, 7200]
@@ -144,7 +156,7 @@ class TestGroupInvariants:
             mem_min=1,
             buffer_floor=1,
         )
-        groups = divide_groups(reqs, comm, config)
+        groups = _divide(reqs, comm, config)
         # No node's data may cross a group boundary.
         for req in reqs:
             holders = [
@@ -159,7 +171,7 @@ class TestGroupInvariants:
     def test_empty_requests(self):
         comm = make_comm()
         config = MemoryConsciousConfig(mem_min=1, buffer_floor=1)
-        assert divide_groups([AccessRequest(0, ExtentList.empty())], comm, config) == []
+        assert _divide([AccessRequest(0, ExtentList.empty())], comm, config) == []
 
     def test_members_only_ranks_with_data_in_region(self):
         comm = make_comm()
@@ -167,7 +179,7 @@ class TestGroupInvariants:
         config = MemoryConsciousConfig(
             msg_group=450, group_mode="serial", msg_ind=100, mem_min=1, buffer_floor=1
         )
-        groups = divide_groups(reqs, comm, config)
+        groups = _divide(reqs, comm, config)
         for g in groups:
             for rank in g.member_ranks:
                 assert reqs[rank].extents.clip(

@@ -7,9 +7,9 @@ For arbitrary workload shapes, group division must always hold:
 * per-group covered bytes sum to the workload total;
 * every member rank actually owns bytes inside its group's region;
 * serial division never splits one node's envelope across two groups;
-* the columnar division (``divide_groups_flat``) produces the same
-  groups as the object path — and the full columnar plan matches the
-  object plan bit for bit.
+* the planner's division (``divide_groups_flat``) produces the same
+  groups as the per-request reference in ``_object_planner`` — and the
+  full plan matches the reference plan bit for bit.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, NetworkModel, scaled_testbed
-from repro.core import (
-    MemoryConsciousCollectiveIO,
-    MemoryConsciousConfig,
-    divide_groups,
-)
+from repro.core import MemoryConsciousCollectiveIO, MemoryConsciousConfig
 from repro.core.columnar import divide_groups_flat
 from repro.core.plans import plan_to_dict
 from repro.io import CollectiveHints, make_context
 from repro.mpi import AccessRequest, SimComm, flatten_requests
 from repro.util import ExtentList, kib
+
+from . import _object_planner as reference
 
 pytestmark = pytest.mark.slow
 
@@ -59,6 +57,10 @@ def _requests(chunks):
     return reqs, claimed
 
 
+def _divide(reqs, comm, config):
+    return divide_groups_flat(flatten_requests(reqs), comm, config)[0]
+
+
 def _config(mode, msg_group):
     return MemoryConsciousConfig(
         msg_ind=kib(8), msg_group=msg_group, group_mode=mode,
@@ -69,7 +71,7 @@ def _config(mode, msg_group):
 @given(chunks=chunk_lists, mode=modes, msg_group=msg_groups)
 def test_groups_tile_aggregate_coverage(chunks, mode, msg_group):
     reqs, claimed = _requests(chunks)
-    groups = divide_groups(reqs, _comm(), _config(mode, msg_group))
+    groups = _divide(reqs, _comm(), _config(mode, msg_group))
     union = ExtentList.union_all([g.coverage for g in groups])
     assert union == claimed
     # disjoint: summed bytes equal union bytes equal workload total
@@ -81,7 +83,7 @@ def test_groups_tile_aggregate_coverage(chunks, mode, msg_group):
 @given(chunks=chunk_lists, mode=modes, msg_group=msg_groups)
 def test_members_own_bytes_in_region(chunks, mode, msg_group):
     reqs, _ = _requests(chunks)
-    groups = divide_groups(reqs, _comm(), _config(mode, msg_group))
+    groups = _divide(reqs, _comm(), _config(mode, msg_group))
     for g in groups:
         assert g.member_ranks == tuple(sorted(set(g.member_ranks)))
         for rank in g.member_ranks:
@@ -95,7 +97,7 @@ def test_members_own_bytes_in_region(chunks, mode, msg_group):
 def test_serial_never_splits_a_node(chunks, msg_group):
     reqs, _ = _requests(chunks)
     comm = _comm()
-    groups = divide_groups(reqs, comm, _config("serial", msg_group))
+    groups = _divide(reqs, comm, _config("serial", msg_group))
     # Merge each node's requests into one envelope; it must fall inside
     # exactly one group's region.
     by_node: dict[int, ExtentList] = {}
@@ -118,7 +120,7 @@ def test_columnar_division_matches_object(chunks, mode, msg_group):
     reqs, _ = _requests(chunks)
     comm = _comm()
     config = _config(mode, msg_group)
-    obj = divide_groups(reqs, comm, config)
+    obj = reference.divide_groups(reqs, comm, config)
     col, pieces = divide_groups_flat(flatten_requests(reqs), comm, config)
     assert [
         (g.group_id, g.region, g.coverage, g.member_ranks) for g in obj
@@ -145,7 +147,9 @@ def test_columnar_plan_matches_object_plan(chunks, mode):
         ctx.cluster.apply_memory_variance(
             ctx.rng, mean_available=kib(64), std=kib(32)
         )
-        strategy = MemoryConsciousCollectiveIO(config, engine=engine)
-        return plan_to_dict(strategy.build_plan(ctx, reqs))
+        if engine == "object":
+            return plan_to_dict(reference.plan_requests(ctx, reqs, config))
+        strategy = MemoryConsciousCollectiveIO(config)
+        return plan_to_dict(strategy.plan(ctx, flatten_requests(reqs)))
 
     assert build("object") == build("columnar")

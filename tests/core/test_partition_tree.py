@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PartitionTree, offset_at_rank
+from repro.core import PartitionTree
 from repro.core.partition_tree import PartitionNode
 from repro.util import Extent, ExtentList, PartitionError
+
+from ._object_planner import build_tree, offset_at_rank
 
 
 def dense(total):
@@ -16,6 +18,8 @@ def dense(total):
 
 
 class TestOffsetAtRank:
+    """The reference planner's median lookup."""
+
     def test_dense(self):
         cov = ExtentList.from_pairs([(10, 10)])
         assert offset_at_rank(cov, 0) == 10
@@ -36,19 +40,19 @@ class TestOffsetAtRank:
 
 class TestBuild:
     def test_small_workload_single_leaf(self):
-        tree = PartitionTree.build(dense(100), msg_ind=200)
+        tree = PartitionTree.build_indexed(dense(100), msg_ind=200)
         assert tree.n_leaves == 1
         tree.validate()
 
     def test_bisection_until_msg_ind(self):
-        tree = PartitionTree.build(dense(1000), msg_ind=100)
+        tree = PartitionTree.build_indexed(dense(1000), msg_ind=100)
         tree.validate()
         for leaf in tree.leaves():
             assert leaf.covered_bytes <= 100
 
     def test_leaves_partition_coverage(self):
         cov = ExtentList.from_pairs([(0, 300), (500, 300), (1000, 424)])
-        tree = PartitionTree.build(cov, msg_ind=128)
+        tree = PartitionTree.build_indexed(cov, msg_ind=128)
         tree.validate()
         assert tree.total_coverage() == cov
         assert sum(l.covered_bytes for l in tree.leaves()) == cov.total
@@ -57,14 +61,14 @@ class TestBuild:
         # All data in the right half of the region: the median split must
         # follow the data, not the midpoint of the region.
         cov = ExtentList.single(900, 100)
-        tree = PartitionTree.build(cov, msg_ind=50, region=Extent(0, 1000))
+        tree = PartitionTree.build_indexed(cov, msg_ind=50, region=Extent(0, 1000))
         tree.validate()
         leaves = [l for l in tree.leaves() if l.covered_bytes > 0]
         assert all(l.covered_bytes <= 50 for l in leaves)
 
     def test_alignment_hook(self):
         align = lambda off: (off // 64) * 64
-        tree = PartitionTree.build(dense(1024), msg_ind=256, align=align)
+        tree = PartitionTree.build_indexed(dense(1024), msg_ind=256, align=align)
         tree.validate()
         # Snaps apply whenever they keep both halves non-empty; with a
         # power-of-two region every cut is alignable.
@@ -77,17 +81,17 @@ class TestBuild:
         # discarded rather than crash.
         align = lambda off: (off // 1024) * 1024
         cov = ExtentList.single(60, 10)
-        tree = PartitionTree.build(cov, msg_ind=5, align=align)
+        tree = PartitionTree.build_indexed(cov, msg_ind=5, align=align)
         tree.validate()
         assert tree.total_coverage() == cov
 
     def test_empty_coverage_rejected(self):
         with pytest.raises(PartitionError):
-            PartitionTree.build(ExtentList.empty(), msg_ind=10)
+            PartitionTree.build_indexed(ExtentList.empty(), msg_ind=10)
 
     def test_coverage_outside_region_rejected(self):
         with pytest.raises(PartitionError):
-            PartitionTree.build(dense(100), msg_ind=10, region=Extent(0, 50))
+            PartitionTree.build_indexed(dense(100), msg_ind=10, region=Extent(0, 50))
 
 
 class TestRemoveLeafFigure5:
@@ -96,7 +100,7 @@ class TestRemoveLeafFigure5:
     def test_figure5a_sibling_is_leaf(self):
         # Region split once: A = left leaf, B = right leaf. A leaves; B
         # takes over directly and their parent becomes the merged leaf.
-        tree = PartitionTree.build(dense(200), msg_ind=100)
+        tree = PartitionTree.build_indexed(dense(200), msg_ind=100)
         assert tree.n_leaves == 2
         a, b = tree.leaves()
         survivor = tree.remove_leaf(a)
@@ -144,12 +148,12 @@ class TestRemoveLeafFigure5:
         assert rr.lo == 300 and rr.hi == 400
 
     def test_cannot_remove_root(self):
-        tree = PartitionTree.build(dense(10), msg_ind=100)
+        tree = PartitionTree.build_indexed(dense(10), msg_ind=100)
         with pytest.raises(PartitionError):
             tree.remove_leaf(tree.root)
 
     def test_remove_internal_rejected(self):
-        tree = PartitionTree.build(dense(400), msg_ind=100)
+        tree = PartitionTree.build_indexed(dense(400), msg_ind=100)
         with pytest.raises(PartitionError):
             tree.remove_leaf(tree.root)
 
@@ -166,7 +170,7 @@ class TestRemoveLeafFigure5:
 )
 def test_property_surgery_preserves_invariants(pairs, msg_ind, removals):
     cov = ExtentList.from_pairs(pairs)
-    tree = PartitionTree.build(cov, msg_ind=msg_ind)
+    tree = PartitionTree.build_indexed(cov, msg_ind=msg_ind)
     tree.validate()
     assert tree.total_coverage() == cov
     for pick in removals:
@@ -206,18 +210,18 @@ def _shape(tree):
 class TestMedianFallback:
     def test_align_snap_never_leaves_oversized_leaf(self):
         """Regression: an align hook whose snaps all land outside the
-        data (here: everything snaps to 0) used to make ``build`` give
+        data (here: everything snaps to 0) used to make the tree build give
         up splitting, leaving leaves far above ``msg_ind``. The raw
         covered-byte median must be tried as a fallback."""
         cov = ExtentList.single(60, 40)
-        tree = PartitionTree.build(cov, msg_ind=8, align=lambda off: 0)
+        tree = PartitionTree.build_indexed(cov, msg_ind=8, align=lambda off: 0)
         tree.validate()
         assert all(l.covered_bytes <= 8 for l in tree.leaves())
         assert tree.total_coverage() == cov
 
     def test_snap_still_preferred_when_valid(self):
         align = lambda off: (off // 64) * 64
-        tree = PartitionTree.build(dense(1024), msg_ind=256, align=align)
+        tree = PartitionTree.build_indexed(dense(1024), msg_ind=256, align=align)
         for leaf in tree.leaves()[:-1]:
             assert leaf.hi % 64 == 0
 
@@ -238,14 +242,14 @@ class TestBuildIndexed:
             [a for a, _ in pairs], [b for _, b in pairs]
         )
         for align in (None, lambda off: (off // 64) * 64, lambda off: 0):
-            a = PartitionTree.build(cov, msg_ind=msg_ind, align=align)
+            a = build_tree(cov, msg_ind=msg_ind, align=align)
             b = PartitionTree.build_indexed(cov, msg_ind=msg_ind, align=align)
             b.validate()
             assert _shape(a) == _shape(b)
 
     def test_matches_with_region(self):
         cov = ExtentList.single(900, 100)
-        a = PartitionTree.build(cov, msg_ind=50, region=Extent(0, 1000))
+        a = build_tree(cov, msg_ind=50, region=Extent(0, 1000))
         b = PartitionTree.build_indexed(cov, msg_ind=50, region=Extent(0, 1000))
         assert _shape(a) == _shape(b)
 

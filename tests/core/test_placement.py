@@ -7,19 +7,20 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import scaled_testbed
 from repro.core import (
     MemoryConsciousConfig,
     PartitionTree,
+    PieceCandidateSource,
     SlotPlan,
-    divide_groups,
+    divide_groups_flat,
     place_group,
     rebalance,
 )
 from repro.core.placement import Assignment, Slot, build_domains
 from repro.io import make_context
-from repro.cluster import scaled_testbed
-from repro.mpi import AccessRequest
-from repro.util import ExtentList, mib
+from repro.mpi import AccessRequest, flatten_requests
+from repro.util import ExtentList, kib, mib
 
 
 def make_ctx(n_nodes=4, procs_per_node=2, **kw):
@@ -80,18 +81,26 @@ class TestSlotPlan:
         assert second is not first
 
 
+def _place_all(ctx, reqs, cfg):
+    """Place every group; returns the slot plan plus (group, tree,
+    assignments, stats) per group."""
+    groups, pieces = divide_groups_flat(flatten_requests(reqs), ctx.comm, cfg)
+    plan = SlotPlan.build(ctx, cfg)
+    placed = []
+    for g, p in zip(groups, pieces):
+        tree = PartitionTree.build_indexed(g.coverage, cfg.msg_ind, region=g.region)
+        assts, stats = place_group(
+            g, tree, ctx, cfg, plan, candidates=PieceCandidateSource(tree, p)
+        )
+        placed.append((g, tree, assts, stats))
+    return plan, placed
+
+
 class TestPlaceGroup:
     def _plan_one(self, ctx, reqs, cfg):
-        groups = divide_groups(reqs, ctx.comm, cfg)
-        plan = SlotPlan.build(ctx, cfg)
-        all_assts = []
-        for g in groups:
-            tree = PartitionTree.build(g.coverage, cfg.msg_ind, region=g.region)
-            assts, stats = place_group(
-                g, tree, {r.rank: r for r in reqs}, ctx, cfg, plan
-            )
-            all_assts.extend(assts)
-        return plan, all_assts, stats
+        plan, placed = _place_all(ctx, reqs, cfg)
+        all_assts = [a for _, _, assts, _ in placed for a in assts]
+        return plan, all_assts, placed[-1][3]
 
     def test_assignments_cover_workload(self):
         ctx = make_ctx()
@@ -131,12 +140,7 @@ class TestPlaceGroup:
         ctx.cluster.set_uniform_available(mib(64))
         reqs = serial_requests(8, mib(2))
         cfg = CFG.replace(msg_ind=mib(64), msg_group=mib(256), group_mode="off")
-        groups = divide_groups(reqs, ctx.comm, cfg)
-        plan = SlotPlan.build(ctx, cfg)
-        tree = PartitionTree.build(groups[0].coverage, cfg.msg_ind)
-        assts, _ = place_group(
-            groups[0], tree, {r.rank: r for r in reqs}, ctx, cfg, plan
-        )
+        plan, [(_, _, assts, _)] = _place_all(ctx, reqs, cfg)
         domains = build_domains(plan, assts, ctx, cfg)
         (domain,) = domains
         # The aggregator holds data inside the domain...
@@ -149,6 +153,37 @@ class TestPlaceGroup:
             key=lambda r: reqs[r].extents.overlap_bytes(domain.coverage),
         )
         assert domain.aggregator == best_on_node
+
+
+@settings(deadline=None)
+@given(
+    chunks=st.lists(
+        st.tuples(st.integers(0, 1 << 17), st.integers(1, 1 << 12)),
+        min_size=2,
+        max_size=24,
+    ),
+    starved=st.sets(st.integers(0, 3), max_size=3),
+)
+def test_assignments_follow_the_remerged_tree(chunks, starved):
+    """Placement keeps its leaf list in step with remerge surgery: the
+    assignments come back in the final tree's leaf order, one per leaf."""
+    ctx = make_ctx()
+    ctx.cluster.set_uniform_available(mib(8))
+    for node in starved:
+        ctx.cluster.nodes[node].memory.set_reserved(ctx.machine.node.mem_capacity)
+    claimed = ExtentList.empty()
+    reqs = []
+    for rank in range(8):
+        el = ExtentList.from_pairs(chunks[rank::8]).subtract(claimed)
+        claimed = claimed.union(el)
+        reqs.append(AccessRequest(rank, el))
+    cfg = CFG.replace(msg_ind=kib(2), msg_group=kib(64), buffer_floor=kib(1))
+    _, placed = _place_all(ctx, reqs, cfg)
+    for _, tree, assts, stats in placed:
+        tree.validate()
+        leaves = tree.leaves()
+        assert [a.coverage for a in assts] == [leaf.coverage for leaf in leaves]
+        assert stats.n_domains == len(leaves)
 
 
 class TestRebalance:

@@ -24,7 +24,7 @@ from repro.core import (
     PartitionTree,
 )
 from repro.io import CollectiveHints, make_context
-from repro.mpi import AccessRequest
+from repro.mpi import AccessRequest, flatten_requests
 from repro.util import ExtentList, kib, mib
 
 pytestmark = pytest.mark.slow
@@ -81,7 +81,7 @@ def _assert_leaves_partition(tree, coverage):
 def test_tree_leaves_tile_and_respect_msg_ind(chunks, msg_ind_kib):
     coverage = ExtentList.from_pairs(chunks)
     msg_ind = kib(msg_ind_kib)
-    tree = PartitionTree.build(coverage, msg_ind)
+    tree = PartitionTree.build_indexed(coverage, msg_ind)
     _assert_leaves_partition(tree, coverage)
     assert all(leaf.covered_bytes <= msg_ind for leaf in tree.leaves())
 
@@ -97,7 +97,7 @@ def test_tree_leaves_tile_and_respect_msg_ind(chunks, msg_ind_kib):
 )
 def test_remerge_preserves_the_partition(chunks, msg_ind_kib, picks):
     coverage = ExtentList.from_pairs(chunks)
-    tree = PartitionTree.build(coverage, kib(msg_ind_kib))
+    tree = PartitionTree.build_indexed(coverage, kib(msg_ind_kib))
     if tree.n_leaves < 2:
         return
     # remove a sequence of leaves; after each surgery the tiling and the
@@ -120,8 +120,8 @@ def test_planned_domains_partition_and_respect_memory(chunks, seed, mem_kib):
     reqs, claimed = _requests(chunks)
     assume(not claimed.is_empty)
     domains, stats, group_sizes = MemoryConsciousCollectiveIO(CFG).plan(
-        ctx, reqs
-    )
+        ctx, flatten_requests(reqs)
+    ).as_tuple()
 
     # 1. Domains partition the workload: disjoint, nothing lost.
     assert sum(d.coverage.total for d in domains) == claimed.total

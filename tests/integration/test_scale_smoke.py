@@ -45,8 +45,8 @@ class TestThousandRanks:
         wl = IORWorkload(self.N, block_size=mib(4), transfer_size=mib(2))
         ctx = self._ctx(machine, mib(8))
         domains, stats, groups = MemoryConsciousCollectiveIO(config).plan(
-            ctx, wl.requests()
-        )
+            ctx, wl.flat_requests()
+        ).as_tuple()
         union = ExtentList.union_all([d.coverage for d in domains])
         assert union.total == wl.total_bytes()
         assert sum(d.covered_bytes for d in domains) == wl.total_bytes()
@@ -61,7 +61,9 @@ class TestThousandRanks:
     def test_rounds_reasonably_balanced(self, machine, config):
         wl = IORWorkload(self.N, block_size=mib(4), transfer_size=mib(2))
         ctx = self._ctx(machine, mib(8))
-        domains, _, _ = MemoryConsciousCollectiveIO(config).plan(ctx, wl.requests())
+        domains, _, _ = MemoryConsciousCollectiveIO(config).plan(
+            ctx, wl.flat_requests()
+        ).as_tuple()
         rounds = [d.rounds() for d in domains]
         total_buffer = sum(d.buffer_bytes for d in domains)
         ideal = wl.total_bytes() / total_buffer

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -90,6 +92,47 @@ class TestPatternBytes:
 
     def test_empty(self):
         assert pattern_bytes(ExtentList.empty()).size == 0
+
+    def test_memory_stays_near_output_size(self):
+        """A 4 MiB payload must not cost uint64 temporaries per byte (the
+        direct formula peaks near 30x the output)."""
+        el = ExtentList.from_pairs([(3, 1 << 21), (1 << 40, 1 << 21)])
+        tracemalloc.start()
+        try:
+            out = pattern_bytes(el, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.size == el.total
+        assert peak <= 3 * el.total
+
+
+def _pattern_bytes_uint64(extents, salt=0):
+    """The payload formula evaluated directly, one uint64 per byte."""
+    chunks = []
+    for ext in extents:
+        offs = np.arange(ext.offset, ext.end, dtype=np.uint64)
+        chunks.append(
+            ((offs * np.uint64(2654435761) + np.uint64(salt)) & np.uint64(0xFF))
+            .astype(np.uint8)
+        )
+    if not chunks:
+        return np.empty(0, dtype=np.uint8)
+    return np.concatenate(chunks)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1 << 62), st.integers(1, 700)),
+        max_size=8,
+    ),
+    st.integers(0, (1 << 32) - 1),
+)
+def test_property_pattern_matches_uint64_formula(pairs, salt):
+    el = ExtentList.from_pairs(pairs) if pairs else ExtentList.empty()
+    got = pattern_bytes(el, salt)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _pattern_bytes_uint64(el, salt))
 
 
 @given(
