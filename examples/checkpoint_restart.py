@@ -26,13 +26,11 @@ import numpy as np
 from repro import (
     AccessRequest,
     CollectiveHints,
-    ExtentList,
     MemoryConsciousCollectiveIO,
     TwoPhaseCollectiveIO,
     auto_tune,
     make_context,
     mib,
-    pattern_bytes,
     render_table,
     scaled_testbed,
 )

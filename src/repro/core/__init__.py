@@ -1,15 +1,10 @@
 """Memory-Conscious Collective I/O: the paper's core contribution."""
 
-from .columnar import (
-    GroupPieces,
-    PieceCandidateSource,
-    divide_groups_flat,
-    plan_columnar,
-)
+from .columnar import LeafTable, divide_groups_flat, plan_columnar
 from .config import MemoryConsciousConfig
 from .driver import MemoryConsciousCollectiveIO
 from .group_division import AggregationGroup
-from .partition_tree import PartitionNode, PartitionTree
+from .partition_tree import PartitionNode, PartitionTree, RankStream
 from .plans import (
     CollectivePlan,
     canonical_json,
@@ -20,6 +15,7 @@ from .plans import (
 from .placement import (  # noqa: F401
     Assignment,
     CandidateSource,
+    LeafCandidates,
     PlacementStats,
     Slot,
     SlotPlan,
@@ -35,6 +31,7 @@ __all__ = [
     "AggregationGroup",
     "PartitionTree",
     "PartitionNode",
+    "RankStream",
     "CollectivePlan",
     "plan_to_dict",
     "plan_from_dict",
@@ -48,8 +45,8 @@ __all__ = [
     "build_domains",
     "Assignment",
     "CandidateSource",
-    "GroupPieces",
-    "PieceCandidateSource",
+    "LeafCandidates",
+    "LeafTable",
     "divide_groups_flat",
     "plan_columnar",
     "TuningResult",

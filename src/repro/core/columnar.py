@@ -4,19 +4,24 @@ Planning never walks per-rank :class:`~repro.mpi.requests.AccessRequest`
 objects; it reads a :class:`~repro.mpi.requests.FlatAccess` view of the
 workload — ``(offset, length, rank)`` vectors — so the paper's Table 1
 design point (a million ranks) plans in seconds. Offset–length lists are
-processed in bulk, with one prefix sum per group and ``searchsorted``
-sweeps in place of per-request loops:
+processed in bulk, plan-wide, with ``searchsorted`` sweeps in place of
+per-request or per-leaf loops:
 
 * group boundaries come from the cut rules of
   :mod:`~repro.core.group_division`, fed by columnar node envelopes;
-* group membership and leaf candidates come from one batched cut of the
-  flattened segments (:func:`~repro.util.intervals.
-  split_segments_to_bins`), which keeps per-segment rank identity;
-* trees are built by :meth:`~repro.core.partition_tree.PartitionTree.
-  build_indexed`, byte-rank arithmetic over one prefix sum;
-* placement is :func:`~repro.core.placement.place_group`, handed a
-  :class:`PieceCandidateSource` that answers leaf-candidate queries from
-  the piece table.
+  group membership comes from one batched cut of the flattened segments
+  (:func:`~repro.util.intervals.split_segments_to_bins`), which keeps
+  per-segment rank identity;
+* every group's tree grows in one level-by-level pass
+  (:meth:`~repro.core.partition_tree.PartitionTree.build_forest`) over
+  the prefix sum of the plan's aggregate coverage, and leaves are
+  byte-rank intervals into it, never materialized coverages;
+* leaf candidates come from one :class:`LeafTable` per plan: the
+  segments cut once at every initial leaf bound and summed to
+  ``(rank, node, bytes)`` columns, which
+  :func:`~repro.core.placement.place_group` reads as slices;
+* :func:`~repro.core.placement.build_domains` slices each slot's
+  coverage from its merged rank runs in one pass.
 
 The tests hold a per-request reference planner and require this one to
 produce bit-identical plans (same groups, trees, slots, aggregators).
@@ -24,7 +29,8 @@ produce bit-identical plans (same groups, trees, slots, aggregators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from ..io.domains import FileDomain
 from ..mpi.comm import SimComm
 from ..mpi.requests import FlatAccess
 from ..util.errors import PartitionError
-from ..util.intervals import Extent, split_segments_to_bins
+from ..util.intervals import Extent, ExtentList, split_segments_to_bins
 from .config import MemoryConsciousConfig
 from .group_division import (
     AggregationGroup,
@@ -42,37 +48,23 @@ from .group_division import (
     _NodeAccess,
     _serial_boundaries_from,
 )
-from .partition_tree import PartitionNode, PartitionTree
+from .partition_tree import PartitionNode, PartitionTree, RankStream
 from .placement import (
     Assignment,
+    LeafCandidates,
     PlacementStats,
     SlotPlan,
+    _group_sum,
     build_domains,
     place_group,
     rebalance,
 )
 
 __all__ = [
-    "GroupPieces",
-    "PieceCandidateSource",
+    "LeafTable",
     "divide_groups_flat",
     "plan_columnar",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class GroupPieces:
-    """One group's share of the flattened workload, cut at its region.
-
-    Parallel arrays: piece ``[starts, ends)`` with the owning ``ranks``
-    and their host ``nodes``. Pieces keep the flat segment order
-    (rank-ascending, then file order within a rank).
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    ranks: np.ndarray
-    nodes: np.ndarray
 
 
 def _node_infos_flat(flat: FlatAccess, nodes: np.ndarray) -> list[_NodeAccess]:
@@ -127,16 +119,15 @@ def divide_groups_flat(
     flat: FlatAccess,
     comm: SimComm,
     config: MemoryConsciousConfig,
-) -> tuple[list[AggregationGroup], list[GroupPieces]]:
+) -> tuple[list[AggregationGroup], ExtentList]:
     """Split the workload into aggregation groups per the configured mode.
 
-    Returns the groups plus each group's piece table (the flattened
-    segments cut at group boundaries), which downstream placement uses
-    for candidate lookups.
+    Returns the groups plus the aggregate coverage they cut, whose
+    :class:`RankStream` the partition forest bisects.
     """
     aggregate = flat.aggregate()
     if aggregate.is_empty:
-        return [], []
+        return [], aggregate
     env = aggregate.envelope()
     nodes = comm.nodes_of(flat.ranks)
     infos = _node_infos_flat(flat, nodes)
@@ -160,16 +151,12 @@ def divide_groups_flat(
     bounds = np.asarray(boundaries, dtype=np.int64)
     if np.any(np.diff(bounds) <= 0):
         raise PartitionError("non-monotone group boundaries")
-    bin_idx, ps, pe, src = split_segments_to_bins(
-        flat.offsets, flat.ends, bounds
-    )
+    bin_idx, _, _, src = split_segments_to_bins(flat.offsets, flat.ends, bounds)
     pranks = flat.ranks[src]
-    pnodes = nodes[src]
     order = np.argsort(bin_idx, kind="stable")
     bin_sorted = bin_idx[order]
 
     groups: list[AggregationGroup] = []
-    pieces: list[GroupPieces] = []
     for b in range(bounds.size - 1):
         lo, hi = int(bounds[b]), int(bounds[b + 1])
         coverage = aggregate.clip(lo, hi - lo)
@@ -177,85 +164,82 @@ def divide_groups_flat(
             continue
         i0 = int(np.searchsorted(bin_sorted, b, side="left"))
         i1 = int(np.searchsorted(bin_sorted, b, side="right"))
-        sel = order[i0:i1]
         groups.append(
             AggregationGroup(
                 group_id=len(groups),
                 region=Extent(lo, hi - lo),
                 coverage=coverage,
-                member_ranks=tuple(np.unique(pranks[sel]).tolist()),
+                member_ranks=tuple(np.unique(pranks[order[i0:i1]]).tolist()),
             )
         )
-        pieces.append(
-            GroupPieces(ps[sel], pe[sel], pranks[sel], pnodes[sel])
-        )
-    return groups, pieces
+    return groups, aggregate
 
 
-class PieceCandidateSource:
-    """Leaf-candidate lookup over a group's precomputed piece table.
+class LeafTable:
+    """Leaf candidates for every initial leaf of a plan, as columns.
 
-    At construction the group's pieces are cut once more at the *initial*
-    partition-tree leaf boundaries and aggregated to per-(leaf, rank)
-    byte counts. Because remerge surgery only ever hands a leaf's region
-    to an adjacent leaf, every live leaf remains a union of contiguous
-    initial-leaf intervals — so a lookup is a ``searchsorted`` into the
-    initial bounds plus a merge of the covered per-leaf entries. Entries
-    are cached per leaf and invalidated when surgery moves its bounds.
+    At construction the workload's segments are cut once at the initial
+    leaf bounds of every tree and summed to per-(leaf, rank) bytes: the
+    entry columns ``(rank, node, bytes)``, leaf-major and rank-ascending.
+    The same pass sums per-(leaf, host) bytes and orders each leaf's
+    hosts by first intersecting rank, into host columns ``(host, bytes,
+    first rank)``. An initial leaf's candidates are then rows of those
+    columns. Remerge surgery only ever hands a leaf's bytes to an
+    adjacent leaf, so every live leaf is a run of contiguous initial
+    leaves — found by bisecting its rank interval — whose entries are
+    contiguous rows too; only its hosts are re-merged.
     """
 
-    def __init__(self, tree: PartitionTree, pieces: GroupPieces) -> None:
-        leaves = tree.leaves()
-        self._leaf_lo = np.asarray([l.lo for l in leaves], dtype=np.int64)
-        self._leaf_hi = np.asarray([l.hi for l in leaves], dtype=np.int64)
-        leaf_bounds = np.append(self._leaf_lo, self._leaf_hi[-1])
-        leaf_idx, ps, pe, src = split_segments_to_bins(
-            pieces.starts, pieces.ends, leaf_bounds
-        )
-        ranks = pieces.ranks[src]
-        piece_nodes = pieces.nodes[src]
-        nbytes = pe - ps
-        rank_span = int(ranks.max()) + 1 if ranks.size else 1
-        key = leaf_idx * rank_span + ranks
-        uniq, inv = np.unique(key, return_inverse=True)
-        byte_sum = np.zeros(uniq.size, np.int64)
-        np.add.at(byte_sum, inv, nbytes)
-        node_of = np.zeros(uniq.size, np.int64)
-        node_of[inv] = piece_nodes  # constant per rank; any write wins
-        # `uniq` is key-sorted: leaf-major, rank-ascending within a leaf.
-        self._entry_leaf = uniq // rank_span
-        self._entry_rank = uniq % rank_span
-        self._entry_node = node_of
-        self._entry_bytes = byte_sum
-        self._cache: dict[
-            int, tuple[int, int, dict[int, tuple[tuple[int, int], ...]]]
-        ] = {}
+    def __init__(
+        self, trees: Sequence[PartitionTree], flat: FlatAccess, comm: SimComm
+    ) -> None:
+        leaves = [leaf for tree in trees for leaf in tree.leaves()]
+        bounds = np.array([leaf.lo for leaf in leaves] + [leaves[-1].hi], np.int64)
+        # Initial leaves tile the stream in order: leaf k holds ranks
+        # [leaf_a[k], leaf_a[k + 1]).
+        self._leaf_a = [leaf.a for leaf in leaves] + [leaves[-1].b]
+        leaf_idx, ps, pe, src = split_segments_to_bins(flat.offsets, flat.ends, bounds)
+        span = int(flat.ranks.max()) + 1
+        key, nbytes, _ = _group_sum(leaf_idx * span + flat.ranks[src], pe - ps)
+        entry_leaf, ranks = key // span, key % span
+        nodes = comm.nodes_of(ranks)
+        node_span = int(nodes.max()) + 1
+        hkey, hbytes, hfirst = _group_sum(entry_leaf * node_span + nodes, nbytes)
+        by_first = np.argsort(hfirst)  # leaf-major, then first rank
+        hkey, hbytes, hfirst = hkey[by_first], hbytes[by_first], hfirst[by_first]
+        at = np.arange(len(leaves) + 1)
+        self._entry_at = np.searchsorted(entry_leaf, at).tolist()
+        self._host_at = np.searchsorted(hkey // node_span, at).tolist()
+        self._columns = (ranks, nodes, nbytes)
+        self._host_columns = ((hkey % node_span).tolist(), hbytes)
+        self._host_first = ranks[hfirst]
 
-    def for_leaf(
-        self, leaf: PartitionNode
-    ) -> dict[int, tuple[tuple[int, int], ...]]:
-        hit = self._cache.get(id(leaf))
-        if hit is not None and hit[0] == leaf.lo and hit[1] == leaf.hi:
-            return hit[2]
-        i0 = int(np.searchsorted(self._leaf_lo, leaf.lo, side="left"))
-        i1 = int(np.searchsorted(self._leaf_hi, leaf.hi, side="left"))
-        a0 = int(np.searchsorted(self._entry_leaf, i0, side="left"))
-        a1 = int(np.searchsorted(self._entry_leaf, i1, side="right"))
-        acc: dict[int, int] = {}
-        nodes: dict[int, int] = {}
-        for r, nd, b in zip(
-            self._entry_rank[a0:a1].tolist(),
-            self._entry_node[a0:a1].tolist(),
-            self._entry_bytes[a0:a1].tolist(),
+    def for_leaf(self, leaf: PartitionNode) -> LeafCandidates:
+        k0 = bisect_left(self._leaf_a, leaf.a)
+        k1 = bisect_left(self._leaf_a, leaf.b, k0)
+        e0, e1 = self._entry_at[k0], self._entry_at[k1]
+        h0, h1 = self._host_at[k0], self._host_at[k1]
+        if k1 == k0 + 1:
+            return LeafCandidates(self._columns, e0, e1, self._host_columns, h0, h1)
+        # A merged leaf: a host's bytes add up over the initial leaves,
+        # and its first rank is the least of theirs.
+        hosts, host_bytes = self._host_columns
+        first: dict[int, int] = {}
+        total: dict[int, int] = {}
+        for node, rank, nbytes in zip(
+            hosts[h0:h1], self._host_first[h0:h1].tolist(), host_bytes[h0:h1].tolist()
         ):
-            acc[r] = acc.get(r, 0) + b
-            nodes[r] = nd
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for r in sorted(acc):
-            grouped.setdefault(nodes[r], []).append((r, acc[r]))
-        hosts = {node: tuple(pairs) for node, pairs in grouped.items()}
-        self._cache[id(leaf)] = (leaf.lo, leaf.hi, hosts)
-        return hosts
+            if node in total:
+                total[node] += nbytes
+                first[node] = min(first[node], rank)
+            else:
+                total[node], first[node] = nbytes, rank
+        merged = sorted(total, key=first.__getitem__)
+        return LeafCandidates(
+            self._columns, e0, e1,
+            (merged, np.array([total[node] for node in merged], np.int64)),
+            0, len(merged),
+        )
 
 
 def plan_columnar(
@@ -264,29 +248,45 @@ def plan_columnar(
     config: MemoryConsciousConfig,
 ) -> tuple[list[FileDomain], PlacementStats, dict[int, int]]:
     """Run planning components 1-4; returns (domains, stats, group sizes)."""
-    groups, group_pieces = divide_groups_flat(flat, ctx.comm, config)
+    groups, aggregate = divide_groups_flat(flat, ctx.comm, config)
     plan = SlotPlan.build(ctx, config)
+    stream = RankStream(aggregate)
+    assignments, stats = _place_groups(ctx, flat, config, plan, groups, stream)
+    assignments, moves = rebalance(plan, assignments)
+    stats.n_rebalanced += moves
+    domains = build_domains(plan, assignments, stream, ctx, config)
+    group_sizes = {group.group_id: len(group.member_ranks) for group in groups}
+    return domains, stats, group_sizes
+
+
+def _place_groups(
+    ctx: IOContext,
+    flat: FlatAccess,
+    config: MemoryConsciousConfig,
+    plan: SlotPlan,
+    groups: list[AggregationGroup],
+    stream: RankStream,
+) -> tuple[list[Assignment], PlacementStats]:
+    """Grow every group's tree and place its leaves, group by group.
+
+    The forest and the leaf table live only for this call; the
+    assignments keep just their rank intervals and candidates.
+    """
     stats = PlacementStats()
     assignments: list[Assignment] = []
-    group_sizes: dict[int, int] = {}
+    if not groups:
+        return assignments, stats
     align = (
         ctx.pfs.layout.align_down if ctx.hints.align_domains_to_stripes else None
     )
-    for group, pieces in zip(groups, group_pieces):
-        tree = PartitionTree.build_indexed(
-            group.coverage,
-            config.msg_ind,
-            region=group.region,
-            align=align,
-        )
-        source = PieceCandidateSource(tree, pieces)
+    trees = PartitionTree.build_forest(
+        stream, [group.region for group in groups], config.msg_ind, align=align
+    )
+    source = LeafTable(trees, flat, ctx.comm)
+    for group, tree in zip(groups, trees):
         placed, g_stats = place_group(
             group, tree, ctx, config, plan, candidates=source
         )
         assignments.extend(placed)
         stats.merge(g_stats)
-        group_sizes[group.group_id] = len(group.member_ranks)
-    assignments, moves = rebalance(plan, assignments)
-    stats.n_rebalanced += moves
-    domains = build_domains(plan, assignments, ctx, config)
-    return domains, stats, group_sizes
+    return assignments, stats

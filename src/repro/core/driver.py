@@ -7,8 +7,8 @@ the workload's flattened ``(offset, length, rank)`` columns
 1. :func:`~repro.core.columnar.divide_groups_flat` — cut the workload
    into disjoint aggregation groups (~``Msg_group`` bytes, node-aligned
    for serial distributions);
-2. :meth:`~repro.core.partition_tree.PartitionTree.build_indexed` — per
-   group, recursively bisect the file region into domains of
+2. :meth:`~repro.core.partition_tree.PartitionTree.build_forest` — for
+   every group at once, bisect the file region into domains of
    ≤ ``Msg_ind`` covered bytes;
 3. remerging — domains whose candidate hosts lack ``Mem_min`` of memory
    fold into their neighbours (tree surgery, driven by the placer);

@@ -51,7 +51,7 @@ from ..util.errors import PlacementError
 from ..util.intervals import Extent, ExtentList
 from .config import MemoryConsciousConfig
 from .group_division import AggregationGroup
-from .partition_tree import PartitionNode, PartitionTree
+from .partition_tree import PartitionNode, PartitionTree, RankStream
 
 __all__ = [
     "PlacementStats",
@@ -59,6 +59,7 @@ __all__ = [
     "SlotPlan",
     "Assignment",
     "CandidateSource",
+    "LeafCandidates",
     "place_group",
     "rebalance",
     "build_domains",
@@ -197,37 +198,113 @@ class SlotPlan:
         return max((s.projected_rounds() for s in self.slots), default=0.0)
 
 
+class LeafCandidates:
+    """A leaf's intersecting processes, as columns.
+
+    Entry ``i`` says rank ``ranks[i]``, hosted on ``nodes[i]``, has
+    ``nbytes[i]`` bytes in the leaf. Ranks ascend, except that a leaf
+    merged from several initial leaves keeps each one's entries, so a
+    rank may appear once per initial leaf; consumers sum per rank.
+    ``hosts`` lists the distinct host nodes in order of their first
+    intersecting rank, with ``host_bytes`` their byte sums. That host
+    order feeds slot tie-breaking (``best_for``, ``rebalance``), so
+    every candidate source must produce it.
+
+    The leaf holds no arrays of its own: its entries are rows
+    ``lo:hi`` of ``columns``, a ``(ranks, nodes, nbytes)`` triple, and
+    its hosts rows ``h0:h1`` of ``host_columns``, a ``(hosts,
+    host_bytes)`` pair — columns that a plan's leaf table shares among
+    all its initial leaves.
+    """
+
+    __slots__ = ("columns", "lo", "hi", "host_columns", "h0", "h1")
+
+    def __init__(
+        self,
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+        lo: int,
+        hi: int,
+        host_columns: tuple[list[int], np.ndarray],
+        h0: int,
+        h1: int,
+    ) -> None:
+        self.columns = columns
+        self.lo = lo
+        self.hi = hi
+        self.host_columns = host_columns
+        self.h0 = h0
+        self.h1 = h1
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return self.columns[0][self.lo:self.hi]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.columns[1][self.lo:self.hi]
+
+    @property
+    def nbytes(self) -> np.ndarray:
+        return self.columns[2][self.lo:self.hi]
+
+    @property
+    def hosts(self) -> list[int]:
+        return self.host_columns[0][self.h0:self.h1]
+
+    @property
+    def host_bytes(self) -> np.ndarray:
+        return self.host_columns[1][self.h0:self.h1]
+
+
+def _group_sum(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``values`` per distinct key.
+
+    Returns the ascending distinct keys, their sums, and the index of
+    each key's first occurrence in ``keys``.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.empty(ordered.size, bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return ordered[first], np.add.reduceat(values[order], first), order[first]
+
+
 @dataclass(frozen=True, slots=True)
 class Assignment:
-    """One partition-tree leaf bound to a slot."""
+    """One partition-tree leaf bound to a slot.
+
+    The leaf's bytes are the ranks ``[a, b)`` of the plan's aggregate
+    stream (see :class:`~repro.core.partition_tree.RankStream`).
+    """
 
     slot_id: int
-    coverage: ExtentList
+    a: int
+    b: int
     group_id: int
-    # candidate host -> ((rank, bytes-in-leaf), ...) for every
-    # intersecting process; used for affinity and by the rebalancer.
-    host_ranks: dict[int, tuple[tuple[int, int], ...]]
+    # every intersecting process; used for affinity and by the rebalancer.
+    candidates: LeafCandidates
     # True when this leaf absorbed a removed neighbour (tree surgery);
     # such leaves may legitimately exceed Msg_ind covered bytes.
     remerged: bool = False
 
     @property
     def nbytes(self) -> int:
-        return self.coverage.total
+        return self.b - self.a
 
 
 class CandidateSource(Protocol):
     """Anything that can name a leaf's candidate hosts.
 
-    ``for_leaf`` returns ``host node -> ((rank, bytes-in-leaf), ...)``
-    with hosts keyed in order of their first intersecting rank and each
-    host's ranks ascending — the iteration order feeds slot tie-breaking,
-    so implementations must agree on it for plans to be reproducible.
+    ``for_leaf`` returns the leaf's :class:`LeafCandidates`; sources
+    must agree on it, host order included, for plans to be
+    reproducible.
     """
 
-    def for_leaf(
-        self, leaf: PartitionNode
-    ) -> dict[int, tuple[tuple[int, int], ...]]: ...
+    def for_leaf(self, leaf: PartitionNode) -> LeafCandidates: ...
 
 
 def place_group(
@@ -264,21 +341,21 @@ def place_group(
         if pos == len(leaves):
             break
         leaf = leaves[pos]
-        covered = leaf.covered_bytes
-        hosts = candidates.for_leaf(leaf)
-        if not hosts:
+        covered = leaf.b - leaf.a
+        cands = candidates.for_leaf(leaf)
+        if not cands.hosts:
             raise PlacementError(
                 f"group {group.group_id}: no process intersects domain "
                 f"[{leaf.lo}, {leaf.hi})"
             )
-        slot = plan.best_for(hosts.keys(), covered)
+        slot = plan.best_for(cands.hosts, covered)
         if slot is None:
             # Every candidate host is memory-starved. Before remerging
             # away (the paper's only move), price backing a fresh slot
             # with remote-pool memory against the local alternative.
-            slot = _borrow_slot(plan, hosts, covered, ctx, config, stats)
+            slot = _borrow_slot(plan, cands, covered, ctx, config, stats)
         if slot is None:
-            if config.enable_remerge and leaf.parent is not None:
+            if config.enable_remerge and leaf is not tree.root:
                 taker = tree.remove_leaf(leaf)
                 stats.n_remerges += 1
                 remerged_ids.discard(id(leaf))
@@ -302,12 +379,12 @@ def place_group(
             slot = plan.best_anywhere(covered)
             stats.n_fallbacks += 1
         slot.load += covered
-        assert leaf.coverage is not None
         assigned[id(leaf)] = Assignment(
             slot_id=slot.slot_id,
-            coverage=leaf.coverage,
+            a=leaf.a,
+            b=leaf.b,
             group_id=group.group_id,
-            host_ranks=hosts,
+            candidates=cands,
             remerged=id(leaf) in remerged_ids,
         )
 
@@ -327,7 +404,7 @@ _RECOORD_BYTES = 16
 
 def _borrow_slot(
     plan: SlotPlan,
-    hosts: dict[int, tuple[tuple[int, int], ...]],
+    cands: LeafCandidates,
     covered: int,
     ctx: IOContext,
     config: MemoryConsciousConfig,
@@ -347,7 +424,9 @@ def _borrow_slot(
     if pool is None or plan.pool_remaining <= 0:
         return None
     # Candidate host holding the most leaf bytes; ties -> lowest node.
-    node_id = max(hosts, key=lambda n: (sum(b for _, b in hosts[n]), -n))
+    _, node_id = max(
+        zip(cands.host_bytes.tolist(), cands.hosts), key=lambda bn: (bn[0], -bn[1])
+    )
     node = ctx.cluster.nodes[node_id]
     buffer_bytes = max(config.mem_min, 1)
     deficit = buffer_bytes - max(node.available_memory, 0)
@@ -443,7 +522,7 @@ def rebalance(
         for k, (a_bytes, _, i) in enumerate(members.get(worst, ())):
             after = (load[worst] - a_bytes) / buffer[worst]
             best = None
-            for node in assignments[i].host_ranks:
+            for node in assignments[i].candidates.hosts:
                 for slot in plan.by_node.get(node, ()):
                     j = slot.slot_id
                     if j == worst:
@@ -503,6 +582,7 @@ def _pick(values: np.ndarray, limit: float, eps: float) -> int:
 def build_domains(
     plan: SlotPlan,
     assignments: Sequence[Assignment],
+    stream: RankStream,
     ctx: IOContext,
     config: MemoryConsciousConfig,
 ) -> list[FileDomain]:
@@ -511,60 +591,106 @@ def build_domains(
     One slot is one aggregator process: it holds one buffer and works
     through everything assigned to it in buffer-sized rounds. Domains of
     a slot that served several groups carry ``group_id = -1``.
+
+    A slot's leaves are rank intervals of ``stream``; those that touch
+    form one run, and the slot's coverage is its runs sliced in one
+    pass — the union of its leaves' coverages, since two leaves' bytes
+    meet in offset only where their ranks meet. The aggregator is the
+    slot-host rank with the most bytes in the slot's leaves (ties to the
+    lowest rank), or the lowest such rank without dynamic placement.
     """
-    per_slot: dict[int, list[Assignment]] = {}
-    for a in assignments:
-        per_slot.setdefault(a.slot_id, []).append(a)
-    slot_by_id = {s.slot_id: s for s in plan.slots}
+    n = len(assignments)
+    if n == 0:
+        return []
+    slot = np.fromiter((x.slot_id for x in assignments), np.int64, n)
+    a = np.fromiter((x.a for x in assignments), np.int64, n)
+    b = np.fromiter((x.b for x in assignments), np.int64, n)
+    order = np.lexsort((a, slot))
+    slot_s, a_s, b_s = slot[order], a[order], b[order]
+    new_slot = np.r_[True, slot_s[1:] != slot_s[:-1]]
+    if np.any(a_s[1:][~new_slot[1:]] < b_s[:-1][~new_slot[1:]]):
+        raise PlacementError("a slot's leaves overlap")
+    new_run = new_slot | np.r_[True, a_s[1:] != b_s[:-1]]
+    run_first = np.flatnonzero(new_run)
+    run_last = np.r_[run_first[1:], n] - 1
+    starts, ends, first = stream.slice_runs(a_s[run_first], b_s[run_last])
+    slot_run = np.flatnonzero(new_slot[run_first])  # each slot's first run
+    ext_lo = first[slot_run].tolist()
+    ext_hi = first[np.r_[slot_run[1:], run_first.size]].tolist()
+    item_first = np.flatnonzero(new_slot)
+    group = np.fromiter((x.group_id for x in assignments), np.int64, n)[order]
+    group_lo = np.minimum.reduceat(group, item_first).tolist()
+    group_hi = np.maximum.reduceat(group, item_first).tolist()
+    remerged = np.fromiter((x.remerged for x in assignments), bool, n)[order]
+    any_remerged = np.logical_or.reduceat(remerged, item_first).tolist()
+    n_leaves = np.diff(np.r_[item_first, n]).tolist()
+    aggregators = _affinity_ranks(plan, assignments, slot, config)
 
     domains: list[FileDomain] = []
-    for slot_id, items in sorted(per_slot.items()):
-        slot = slot_by_id[slot_id]
-        coverage = ExtentList.union_all([a.coverage for a in items])
-        affinity: dict[int, int] = {}
-        for a in items:
-            for rank, b in a.host_ranks.get(slot.node_id, ()):
-                affinity[rank] = affinity.get(rank, 0) + b
-        rank = _choose_rank(slot.node_id, affinity, ctx, config)
-        group_ids = {a.group_id for a in items}
+    for k, slot_id in enumerate(slot_s[item_first].tolist()):
+        slot_k = plan.slots[slot_id]
+        coverage = ExtentList(
+            starts[ext_lo[k]:ext_hi[k]], ends[ext_lo[k]:ext_hi[k]], _trusted=True
+        )
+        rank = aggregators.get(slot_id)
+        if rank is None:
+            ranks = ctx.cluster.ranks_on_node(slot_k.node_id)
+            if ranks.size == 0:
+                raise PlacementError(f"node {slot_k.node_id} hosts no ranks")
+            rank = int(ranks[0])
         env = coverage.envelope()
-        buffer_bytes = min(slot.buffer_bytes, max(coverage.total, 1))
+        buffer_bytes = min(slot_k.buffer_bytes, max(coverage.total, 1))
         # Borrow provenance rides through to the plan: the borrowed
         # share can never exceed the (possibly coverage-clamped) buffer.
-        borrowed = min(slot.borrowed_bytes, buffer_bytes)
+        borrowed = min(slot_k.borrowed_bytes, buffer_bytes)
         domains.append(
             FileDomain(
                 region=Extent(env.offset, env.length),
                 coverage=coverage,
                 aggregator=rank,
                 buffer_bytes=buffer_bytes,
-                group_id=group_ids.pop() if len(group_ids) == 1 else -1,
-                n_leaves=len(items),
-                remerged=any(a.remerged for a in items),
+                group_id=group_lo[k] if group_lo[k] == group_hi[k] else -1,
+                n_leaves=n_leaves[k],
+                remerged=any_remerged[k],
                 borrowed_bytes=borrowed,
-                borrow_link=slot.borrow_link if borrowed > 0 else 0,
+                borrow_link=slot_k.borrow_link if borrowed > 0 else 0,
                 borrow_lever="borrow" if borrowed > 0 else "",
-                borrow_price_s=slot.borrow_price_s if borrowed > 0 else 0.0,
-                local_price_s=slot.local_price_s if borrowed > 0 else 0.0,
+                borrow_price_s=slot_k.borrow_price_s if borrowed > 0 else 0.0,
+                local_price_s=slot_k.local_price_s if borrowed > 0 else 0.0,
             )
         )
     domains.sort(key=lambda d: d.region.offset)
     return domains
 
 
-def _choose_rank(
-    node_id: int,
-    affinity: dict[int, int],
-    ctx: IOContext,
+def _affinity_ranks(
+    plan: SlotPlan,
+    assignments: Sequence[Assignment],
+    slot: np.ndarray,
     config: MemoryConsciousConfig,
-) -> int:
-    """Pick the aggregator process on the chosen host."""
-    if affinity:
-        if config.dynamic_placement:
-            # Data affinity: the co-located rank holding the most bytes.
-            return max(affinity.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        return min(affinity)
-    ranks = ctx.cluster.ranks_on_node(node_id)
-    if ranks.size == 0:
-        raise PlacementError(f"node {node_id} hosts no ranks")
-    return int(ranks[0])
+) -> dict[int, int]:
+    """Each slot's aggregator among the candidate ranks on its host.
+
+    Sums every leaf's bytes per (slot, rank) for the ranks on the slot's
+    node, then takes the most bytes, ties to the lowest rank (data
+    affinity), or just the lowest rank without dynamic placement. Slots
+    whose host holds none of their leaves' data are absent.
+    """
+    cands = [x.candidates for x in assignments]
+    ranks = np.concatenate([c.ranks for c in cands])
+    nodes = np.concatenate([c.nodes for c in cands])
+    nbytes = np.concatenate([c.nbytes for c in cands])
+    lengths = np.fromiter((c.hi - c.lo for c in cands), np.int64, len(cands))
+    slot_node = np.fromiter((s.node_id for s in plan.slots), np.int64, len(plan.slots))
+    entry_slot = np.repeat(slot, lengths)
+    on_host = nodes == slot_node[entry_slot]
+    if not on_host.any():
+        return {}
+    span = int(ranks.max()) + 1
+    key, sums, _ = _group_sum(entry_slot[on_host] * span + ranks[on_host], nbytes[on_host])
+    u_slot, u_rank = key // span, key % span
+    if config.dynamic_placement:
+        pick = np.lexsort((u_rank, -sums, u_slot))
+        u_slot, u_rank = u_slot[pick], u_rank[pick]
+    first = np.r_[True, u_slot[1:] != u_slot[:-1]]
+    return dict(zip(u_slot[first].tolist(), u_rank[first].tolist()))

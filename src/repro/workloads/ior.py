@@ -66,14 +66,16 @@ class IORWorkload(Workload):
     def extents_for_rank(self, rank: int) -> ExtentList:
         if not 0 <= rank < self._n_procs:
             raise WorkloadError(f"rank {rank} out of range")
-        if self.segmented:
-            return ExtentList.single(rank * self.block_size, self.block_size)
-        t = self.transfer_size
         P = self._n_procs
-        pairs = [
-            ((b * P + rank) * t, t) for b in range(self.transfers_per_proc)
-        ]
-        return ExtentList.from_pairs(pairs)
+        if self.segmented or P == 1 or self.transfers_per_proc == 1:
+            # One contiguous run: the rank's own block, or transfers that
+            # touch (a single rank), or a single transfer.
+            return ExtentList.single(rank * self.block_size, self.block_size)
+        # Ascending, with P - 1 other ranks' transfers between two of
+        # this rank's: already a normalized set.
+        t = self.transfer_size
+        starts = (np.arange(self.transfers_per_proc, dtype=np.int64) * P + rank) * t
+        return ExtentList(starts, starts + t, _trusted=True)
 
     def flat_requests(self) -> FlatAccess:
         """Closed-form columnar pattern — no per-rank objects.

@@ -10,9 +10,11 @@ two. It re-implements exactly the steps where the engines differ:
   each node's request extents, members by clipping every request;
 * the partition tree (:func:`build_tree`): recursive bisection that
   clips each vertex's coverage and finds the median by a fresh prefix
-  sum per split (:func:`offset_at_rank`);
+  sum per split (:func:`offset_at_rank`), one group at a time, counting
+  each vertex's byte-rank interval from the clipped totals;
 * leaf candidates (:class:`RequestCandidateSource`): every member
-  request intersected with the leaf's coverage.
+  request intersected with the leaf's coverage, gathered into the same
+  :class:`~repro.core.placement.LeafCandidates` columns.
 
 Everything the engines share — the boundary cut rules, the slot plan,
 ``place_group``, ``rebalance`` and ``build_domains`` — is the production
@@ -33,9 +35,10 @@ from repro.core.group_division import (
     _NodeAccess,
     _serial_boundaries_from,
 )
-from repro.core.partition_tree import PartitionNode, PartitionTree
+from repro.core.partition_tree import PartitionNode, PartitionTree, RankStream
 from repro.core.placement import (
     Assignment,
+    LeafCandidates,
     PlacementStats,
     SlotPlan,
     build_domains,
@@ -182,12 +185,18 @@ def build_tree(
     *,
     region: Extent | None = None,
     align: Callable[[int], int] | None = None,
-) -> PartitionTree:
+    stream: RankStream | None = None,
+    base: int = 0,
+) -> tuple[PartitionTree, list[ExtentList]]:
     """Recursively bisect until each leaf covers <= ``msg_ind`` bytes.
 
     Every vertex carries its clipped coverage while it is split; an
     ``align`` snap is tried first and discarded when it would leave a
-    half empty, falling back to the raw covered-byte median.
+    half empty, falling back to the raw covered-byte median. Rank
+    intervals are counted from ``base`` by the clipped totals alone.
+
+    Returns the tree over ``stream`` (by default ``coverage``'s own)
+    plus each leaf's clipped coverage, in leaf order.
     """
     check_positive("msg_ind", msg_ind)
     if coverage.is_empty:
@@ -197,18 +206,18 @@ def build_tree(
         region = env
     if env.offset < region.offset or env.end > region.end:
         raise PartitionError(f"coverage {env} escapes region {region}")
-    root = PartitionNode(region.offset, region.end, coverage)
-    stack = [root]
+    root = PartitionNode(region.offset, region.end, base, base + coverage.total)
+    clipped = {}
+    stack = [(root, coverage)]
     while stack:
-        node = stack.pop()
-        cov = node.coverage
-        assert cov is not None
+        node, cov = stack.pop()
         total = cov.total
+        clipped[id(node)] = cov
         if total <= msg_ind or total < 2:
             continue
         median = offset_at_rank(cov, total // 2)
         candidates = [median]
-        if align is not None and (snapped := align(median)) != median:
+        if align is not None and (snapped := int(align(median))) != median:
             candidates.insert(0, snapped)
         for split in candidates:
             if not node.lo < split < node.hi:
@@ -217,13 +226,14 @@ def build_tree(
             if left_cov.is_empty or left_cov.total >= total:
                 continue
             right_cov = cov.clip(split, node.hi - split)
-            node.left = PartitionNode(node.lo, split, left_cov, parent=node)
-            node.right = PartitionNode(split, node.hi, right_cov, parent=node)
-            node.coverage = None
-            stack.append(node.left)
-            stack.append(node.right)
+            mid = node.a + left_cov.total
+            node.left = PartitionNode(node.lo, split, node.a, mid)
+            node.right = PartitionNode(split, node.hi, mid, node.b)
+            stack.append((node.left, left_cov))
+            stack.append((node.right, right_cov))
             break
-    return PartitionTree(root)
+    tree = PartitionTree(root, stream if stream is not None else RankStream(coverage))
+    return tree, [clipped[id(leaf)] for leaf in tree.leaves()]
 
 
 # ------------------------------------------------------------ leaf candidates
@@ -233,28 +243,52 @@ class RequestCandidateSource:
     """Leaf candidates found by intersecting every member request."""
 
     def __init__(
-        self, member_requests: Sequence[AccessRequest], ctx: IOContext
+        self,
+        member_requests: Sequence[AccessRequest],
+        ctx: IOContext,
+        stream: RankStream,
     ) -> None:
         self._member_requests = member_requests
         self._ctx = ctx
+        self._stream = stream
 
-    def for_leaf(
-        self, leaf: PartitionNode
-    ) -> dict[int, tuple[tuple[int, int], ...]]:
-        assert leaf.coverage is not None
-        hosts: dict[int, list[tuple[int, int]]] = {}
+    def for_leaf(self, leaf: PartitionNode) -> LeafCandidates:
+        coverage = self._stream.slice(leaf.a, leaf.b)
+        entries = []
         for req in self._member_requests:
             if req.extents.is_empty:
                 continue
             env = req.extents.envelope()
             if env.end <= leaf.lo or env.offset >= leaf.hi:
                 continue
-            nbytes = req.extents.overlap_bytes(leaf.coverage)
+            nbytes = req.extents.overlap_bytes(coverage)
             if nbytes == 0:
                 continue
-            node_id = self._ctx.comm.node_of(req.rank)
-            hosts.setdefault(node_id, []).append((req.rank, nbytes))
-        return {node: tuple(ranks) for node, ranks in hosts.items()}
+            entries.append((req.rank, self._ctx.comm.node_of(req.rank), nbytes))
+        return leaf_candidates(entries)
+
+
+def leaf_candidates(entries) -> LeafCandidates:
+    """``LeafCandidates`` from ``(rank, node, bytes)`` entries in any
+    order, one per rank after summing, hosts in first-rank order."""
+    per_rank: dict[int, list[int]] = {}
+    for rank, node, nbytes in entries:
+        per_rank.setdefault(rank, [node, 0])[1] += nbytes
+    ranks = sorted(per_rank)
+    host_bytes: dict[int, int] = {}
+    for rank in ranks:
+        node, nbytes = per_rank[rank]
+        host_bytes[node] = host_bytes.get(node, 0) + nbytes
+    columns = tuple(
+        np.array(column, dtype=np.int64)
+        for column in (ranks, [per_rank[r][0] for r in ranks], [per_rank[r][1] for r in ranks])
+    )
+    hosts = list(host_bytes)  # insertion order: by first rank
+    return LeafCandidates(
+        columns, 0, len(ranks),
+        (hosts, np.array([host_bytes[n] for n in hosts], dtype=np.int64)),
+        0, len(hosts),
+    )
 
 
 # ------------------------------------------------------------ whole plan
@@ -274,14 +308,18 @@ def plan_requests(
     align = (
         ctx.pfs.layout.align_down if ctx.hints.align_domains_to_stripes else None
     )
+    stream = RankStream(ExtentList.union_all([r.extents for r in requests]))
+    base = 0
     for group in divide_groups(requests, ctx.comm, config):
-        tree = build_tree(
-            group.coverage, config.msg_ind, region=group.region, align=align
+        tree, _ = build_tree(
+            group.coverage, config.msg_ind, region=group.region, align=align,
+            stream=stream, base=base,
         )
+        base += group.coverage.total
         members = [by_rank[r] for r in group.member_ranks if r in by_rank]
         placed, g_stats = place_group(
             group, tree, ctx, config, slots,
-            candidates=RequestCandidateSource(members, ctx),
+            candidates=RequestCandidateSource(members, ctx, stream),
         )
         assignments.extend(placed)
         stats.merge(g_stats)
@@ -290,7 +328,7 @@ def plan_requests(
     stats.n_rebalanced += moves
     pool = ctx.machine.remote_pool
     return CollectivePlan(
-        domains=build_domains(slots, assignments, ctx, config),
+        domains=build_domains(slots, assignments, stream, ctx, config),
         stats=stats,
         group_sizes=group_sizes,
         msg_ind=config.msg_ind,

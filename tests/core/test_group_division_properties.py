@@ -121,13 +121,13 @@ def test_columnar_division_matches_object(chunks, mode, msg_group):
     comm = _comm()
     config = _config(mode, msg_group)
     obj = reference.divide_groups(reqs, comm, config)
-    col, pieces = divide_groups_flat(flatten_requests(reqs), comm, config)
+    col, aggregate = divide_groups_flat(flatten_requests(reqs), comm, config)
     assert [
         (g.group_id, g.region, g.coverage, g.member_ranks) for g in obj
     ] == [
         (g.group_id, g.region, g.coverage, g.member_ranks) for g in col
     ]
-    assert len(pieces) == len(col)
+    assert aggregate == ExtentList.union_all([r.extents for r in reqs])
 
 
 @given(chunks=chunk_lists, mode=modes)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PartitionTree
+from repro.core import PartitionTree, RankStream
 from repro.core.partition_tree import PartitionNode
 from repro.util import Extent, ExtentList, PartitionError
 
@@ -108,19 +108,21 @@ class TestRemoveLeafFigure5:
         assert tree.n_leaves == 1
         assert survivor.lo == 0 and survivor.hi == 200
         assert survivor.covered_bytes == 200
+        assert tree.coverage(survivor) == dense(200)
 
     def test_figure5b_dfs_into_left_sibling_subtree(self):
         # A is the right child of the root; sibling B is internal. The DFS
         # must walk B's *rightmost* path so the taker is adjacent to A.
-        # Build by hand: left internal with two leaves; right a leaf.
-        root = PartitionNode(0, 400)
-        left = PartitionNode(0, 200, parent=root)
-        right = PartitionNode(200, 400, ExtentList.single(200, 200), parent=root)
-        ll = PartitionNode(0, 100, ExtentList.single(0, 100), parent=left)
-        lr = PartitionNode(100, 200, ExtentList.single(100, 100), parent=left)
+        # Build by hand over dense bytes [0, 400), so byte ranks equal
+        # offsets: left internal with two leaves; right a leaf.
+        root = PartitionNode(0, 400, 0, 400)
+        left = PartitionNode(0, 200, 0, 200)
+        right = PartitionNode(200, 400, 200, 400)
+        ll = PartitionNode(0, 100, 0, 100)
+        lr = PartitionNode(100, 200, 100, 200)
         left.left, left.right = ll, lr
         root.left, root.right = left, right
-        tree = PartitionTree(root)
+        tree = PartitionTree(root, RankStream(dense(400)))
         tree.validate()
         # Remove `right` (A, the right sibling); B = left is internal.
         survivor = tree.remove_leaf(right)
@@ -129,22 +131,24 @@ class TestRemoveLeafFigure5:
         assert survivor is lr
         assert survivor.lo == 100 and survivor.hi == 400
         assert survivor.covered_bytes == 300
+        assert tree.coverage(survivor) == ExtentList.single(100, 300)
         # The untouched leaf keeps its region.
         assert ll.lo == 0 and ll.hi == 100
 
     def test_figure5b_left_removal_takes_leftmost(self):
-        root = PartitionNode(0, 400)
-        left = PartitionNode(0, 200, ExtentList.single(0, 200), parent=root)
-        right = PartitionNode(200, 400, parent=root)
-        rl = PartitionNode(200, 300, ExtentList.single(200, 100), parent=right)
-        rr = PartitionNode(300, 400, ExtentList.single(300, 100), parent=right)
+        root = PartitionNode(0, 400, 0, 400)
+        left = PartitionNode(0, 200, 0, 200)
+        right = PartitionNode(200, 400, 200, 400)
+        rl = PartitionNode(200, 300, 200, 300)
+        rr = PartitionNode(300, 400, 300, 400)
         right.left, right.right = rl, rr
         root.left, root.right = left, right
-        tree = PartitionTree(root)
+        tree = PartitionTree(root, RankStream(dense(400)))
         survivor = tree.remove_leaf(left)
         tree.validate()
         assert survivor is rl  # leftmost leaf of the right subtree
         assert survivor.lo == 0 and survivor.hi == 300
+        assert (survivor.a, survivor.b) == (0, 300)
         assert rr.lo == 300 and rr.hi == 400
 
     def test_cannot_remove_root(self):
@@ -184,16 +188,25 @@ def test_property_surgery_preserves_invariants(pairs, msg_ind, removals):
         assert sum(l.covered_bytes for l in tree.leaves()) == cov.total
 
 
-def _shape(tree):
-    """(lo, hi, coverage-pairs-or-None) for every node, preorder."""
+def _shape(tree, coverages=None):
+    """(lo, hi, a, b, coverage pairs or None) for every node, preorder.
+
+    Leaf coverages come from ``coverages`` (in leaf order) when given,
+    else sliced from the tree's stream."""
+    leaves = tree.leaves()
+    if coverages is None:
+        coverages = [tree.coverage(leaf) for leaf in leaves]
+    by_leaf = {id(leaf): cov for leaf, cov in zip(leaves, coverages)}
     out = []
 
     def walk(node):
-        cov = node.coverage
+        cov = by_leaf.get(id(node))
         out.append(
             (
                 node.lo,
                 node.hi,
+                node.a,
+                node.b,
                 None
                 if cov is None
                 else tuple(zip(cov.starts.tolist(), cov.ends.tolist())),
@@ -242,17 +255,71 @@ class TestBuildIndexed:
             [a for a, _ in pairs], [b for _, b in pairs]
         )
         for align in (None, lambda off: (off // 64) * 64, lambda off: 0):
-            a = build_tree(cov, msg_ind=msg_ind, align=align)
+            a, clipped = build_tree(cov, msg_ind=msg_ind, align=align)
             b = PartitionTree.build_indexed(cov, msg_ind=msg_ind, align=align)
             b.validate()
-            assert _shape(a) == _shape(b)
+            assert _shape(a, clipped) == _shape(b)
 
     def test_matches_with_region(self):
         cov = ExtentList.single(900, 100)
-        a = build_tree(cov, msg_ind=50, region=Extent(0, 1000))
+        a, clipped = build_tree(cov, msg_ind=50, region=Extent(0, 1000))
         b = PartitionTree.build_indexed(cov, msg_ind=50, region=Extent(0, 1000))
-        assert _shape(a) == _shape(b)
+        assert _shape(a, clipped) == _shape(b)
 
     def test_empty_coverage_rejected(self):
         with pytest.raises(PartitionError):
             PartitionTree.build_indexed(ExtentList.empty(), msg_ind=10)
+
+
+@st.composite
+def _forests(draw):
+    """A coverage, group regions that tile a span wider than it, a
+    ``msg_ind`` and an optional stripe-unit snap."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 20_000), st.integers(1, 3_000)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    cov = ExtentList.from_pairs(pairs)
+    env = cov.envelope()
+    lo = max(env.offset - draw(st.integers(0, 500)), 0)
+    hi = env.end + draw(st.integers(0, 500))
+    cuts = (
+        draw(st.lists(st.integers(lo + 1, hi - 1), max_size=6, unique=True))
+        if hi - lo >= 2
+        else []
+    )
+    bounds = [lo, *sorted(cuts), hi]
+    regions = [
+        Extent(a, b - a)
+        for a, b in zip(bounds, bounds[1:])
+        if not cov.clip(a, b - a).is_empty
+    ]
+    unit = draw(st.sampled_from([None, 1, 7, 64, 4096]))
+    return cov, regions, draw(st.integers(1, 4_000)), unit
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_forests())
+def test_property_forest_matches_the_recursion(case):
+    """The batched bisection grows, group by group, the tree the
+    per-group recursion grows: every vertex's region and rank interval,
+    and every leaf's coverage sliced from its ``[a, b)`` equals the
+    recursion's clipped coverage."""
+    cov, regions, msg_ind, unit = case
+    align = None if unit is None else (lambda off: (off // unit) * unit)
+    stream = RankStream(cov)
+    forest = PartitionTree.build_forest(stream, regions, msg_ind, align=align)
+    assert len(forest) == len(regions)
+    base = 0
+    for region, tree in zip(regions, forest):
+        group_cov = cov.clip(region.offset, region.length)
+        ref, clipped = build_tree(
+            group_cov, msg_ind, region=region, align=align, stream=stream, base=base
+        )
+        base += group_cov.total
+        tree.validate()
+        assert _shape(tree) == _shape(ref, clipped)
+    assert base == cov.total

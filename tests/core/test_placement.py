@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import scaled_testbed
 from repro.core import (
+    LeafTable,
     MemoryConsciousConfig,
     PartitionTree,
-    PieceCandidateSource,
+    RankStream,
     SlotPlan,
     divide_groups_flat,
     place_group,
@@ -21,6 +23,8 @@ from repro.core.placement import Assignment, Slot, build_domains
 from repro.io import make_context
 from repro.mpi import AccessRequest, flatten_requests
 from repro.util import ExtentList, kib, mib
+
+from ._object_planner import RequestCandidateSource, leaf_candidates
 
 
 def make_ctx(n_nodes=4, procs_per_node=2, **kw):
@@ -84,41 +88,49 @@ class TestSlotPlan:
 def _place_all(ctx, reqs, cfg):
     """Place every group; returns the slot plan plus (group, tree,
     assignments, stats) per group."""
-    groups, pieces = divide_groups_flat(flatten_requests(reqs), ctx.comm, cfg)
+    flat = flatten_requests(reqs)
+    groups, aggregate = divide_groups_flat(flat, ctx.comm, cfg)
     plan = SlotPlan.build(ctx, cfg)
+    trees = PartitionTree.build_forest(
+        RankStream(aggregate), [g.region for g in groups], cfg.msg_ind
+    )
+    source = LeafTable(trees, flat, ctx.comm)
     placed = []
-    for g, p in zip(groups, pieces):
-        tree = PartitionTree.build_indexed(g.coverage, cfg.msg_ind, region=g.region)
-        assts, stats = place_group(
-            g, tree, ctx, cfg, plan, candidates=PieceCandidateSource(tree, p)
-        )
+    for g, tree in zip(groups, trees):
+        assts, stats = place_group(g, tree, ctx, cfg, plan, candidates=source)
         placed.append((g, tree, assts, stats))
     return plan, placed
 
 
+def _coverages(tree, assts):
+    return [tree.stream.slice(a.a, a.b) for a in assts]
+
+
 class TestPlaceGroup:
     def _plan_one(self, ctx, reqs, cfg):
+        """(plan, every assignment, last group's stats, any tree — all
+        trees share the plan's stream)."""
         plan, placed = _place_all(ctx, reqs, cfg)
         all_assts = [a for _, _, assts, _ in placed for a in assts]
-        return plan, all_assts, placed[-1][3]
+        return plan, all_assts, placed[-1][3], placed[0][1]
 
     def test_assignments_cover_workload(self):
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(mib(8))
         reqs = serial_requests(8, mib(2))
-        plan, assts, _ = self._plan_one(ctx, reqs, CFG)
-        union = ExtentList.union_all([a.coverage for a in assts])
+        plan, assts, _, tree = self._plan_one(ctx, reqs, CFG)
+        union = ExtentList.union_all(_coverages(tree, assts))
         assert union == ExtentList.union_all([r.extents for r in reqs])
 
     def test_aggregator_on_intersecting_host(self):
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(mib(8))
         reqs = serial_requests(8, mib(2))
-        plan, assts, _ = self._plan_one(ctx, reqs, CFG)
+        plan, assts, _, _ = self._plan_one(ctx, reqs, CFG)
         slot_by_id = {s.slot_id: s for s in plan.slots}
         for a in assts:
             node = slot_by_id[a.slot_id].node_id
-            assert node in a.host_ranks  # locality preserved
+            assert node in a.candidates.hosts  # locality preserved
 
     def test_starved_host_triggers_remerge(self):
         ctx = make_ctx()
@@ -126,22 +138,42 @@ class TestPlaceGroup:
         # Node 1 (ranks 2,3) starved -> its domains must remerge/move.
         ctx.cluster.nodes[1].memory.set_reserved(ctx.machine.node.mem_capacity)
         reqs = serial_requests(8, mib(2))
-        plan, assts, stats = self._plan_one(ctx, reqs, CFG)
+        plan, assts, stats, tree = self._plan_one(ctx, reqs, CFG)
         assert stats.n_remerges > 0
         slot_by_id = {s.slot_id: s for s in plan.slots}
         for a in assts:
             assert slot_by_id[a.slot_id].node_id != 1
         # still complete coverage
-        union = ExtentList.union_all([a.coverage for a in assts])
+        union = ExtentList.union_all(_coverages(tree, assts))
         assert union.total == 8 * mib(2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: after a case-5a remerge whose left sibling leaf "
+            "was already assigned, the sibling's bytes stay on its slot's "
+            "load and the merged leaf adds them again; fixing it changes "
+            "plans, so it waits for a change that re-records the goldens, "
+            "pins and benchmark digests"
+        ),
+    )
+    def test_slot_loads_equal_assigned_bytes_after_case_5a_remerge(self):
+        ctx = make_ctx()
+        ctx.cluster.set_uniform_available(mib(8))
+        # Node 1 (ranks 2, 3) starved: the right leaf of a two-leaf
+        # subtree remerges into its already-placed left sibling.
+        ctx.cluster.nodes[1].memory.set_reserved(ctx.machine.node.mem_capacity)
+        plan, assts, stats, _ = self._plan_one(ctx, serial_requests(8, mib(2)), CFG)
+        assert stats.n_remerges > 0
+        assert sum(s.load for s in plan.slots) == sum(a.nbytes for a in assts)
 
     def test_dynamic_placement_picks_data_affine_rank(self):
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(mib(64))
         reqs = serial_requests(8, mib(2))
         cfg = CFG.replace(msg_ind=mib(64), msg_group=mib(256), group_mode="off")
-        plan, [(_, _, assts, _)] = _place_all(ctx, reqs, cfg)
-        domains = build_domains(plan, assts, ctx, cfg)
+        plan, [(_, tree, assts, _)] = _place_all(ctx, reqs, cfg)
+        domains = build_domains(plan, assts, tree.stream, ctx, cfg)
         (domain,) = domains
         # The aggregator holds data inside the domain...
         assert reqs[domain.aggregator].extents.overlap_bytes(domain.coverage) > 0
@@ -182,8 +214,59 @@ def test_assignments_follow_the_remerged_tree(chunks, starved):
     for _, tree, assts, stats in placed:
         tree.validate()
         leaves = tree.leaves()
-        assert [a.coverage for a in assts] == [leaf.coverage for leaf in leaves]
+        assert [(a.a, a.b) for a in assts] == [(leaf.a, leaf.b) for leaf in leaves]
+        assert _coverages(tree, assts) == [tree.coverage(leaf) for leaf in leaves]
         assert stats.n_domains == len(leaves)
+
+
+def _entry_sums(candidates):
+    """rank -> (node, bytes summed over the rank's entries)."""
+    out = {}
+    for rank, node, nbytes in zip(
+        candidates.ranks.tolist(), candidates.nodes.tolist(), candidates.nbytes.tolist()
+    ):
+        out[rank] = (node, out.get(rank, (node, 0))[1] + nbytes)
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    chunks=st.lists(
+        st.tuples(st.integers(0, 1 << 15), st.integers(1, 1 << 11)),
+        min_size=2,
+        max_size=24,
+    ),
+    picks=st.lists(st.integers(0, 1 << 10), max_size=12),
+    placement=st.sampled_from(["block", "cyclic"]),
+)
+def test_leaf_table_matches_request_intersection(chunks, picks, placement):
+    """The leaf table names the candidates that intersecting every
+    request names — per-rank bytes, hosts in first-rank order and host
+    bytes — for initial leaves and for leaves merged by surgery."""
+    # Cyclic placement puts ranks on nodes out of rank order.
+    ctx = make_ctx(placement=placement)
+    reqs = []
+    for rank in range(8):
+        # Overlapping requests on purpose: ranks share leaves.
+        reqs.append(AccessRequest(rank, ExtentList.from_pairs(chunks[rank::3])))
+    flat = flatten_requests(reqs)
+    cfg = CFG.replace(msg_ind=kib(1), msg_group=kib(16), buffer_floor=kib(1))
+    groups, aggregate = divide_groups_flat(flat, ctx.comm, cfg)
+    stream = RankStream(aggregate)
+    trees = PartitionTree.build_forest(stream, [g.region for g in groups], cfg.msg_ind)
+    table = LeafTable(trees, flat, ctx.comm)
+    oracle = RequestCandidateSource(reqs, ctx, stream)
+    for tree in trees:
+        for pick in picks:
+            leaves = tree.leaves()
+            if len(leaves) < 2:
+                break
+            tree.remove_leaf(leaves[pick % len(leaves)])
+        for leaf in tree.leaves():
+            got, want = table.for_leaf(leaf), oracle.for_leaf(leaf)
+            assert got.hosts == want.hosts
+            assert got.host_bytes.tolist() == want.host_bytes.tolist()
+            assert _entry_sums(got) == _entry_sums(want)
 
 
 class TestRebalance:
@@ -193,14 +276,15 @@ class TestRebalance:
         plan = SlotPlan.build(ctx, CFG)
         # Hand-build assignments: everything on slot 0.
         assts = []
+        every_node = [n.node_id for n in ctx.cluster.nodes]
         for i in range(8):
-            cov = ExtentList.single(i * mib(2), mib(2))
             assts.append(
                 Assignment(
                     slot_id=0,
-                    coverage=cov,
+                    a=i * mib(2),
+                    b=(i + 1) * mib(2),
                     group_id=0,
-                    host_ranks={n.node_id: ((0, 1),) for n in ctx.cluster.nodes},
+                    candidates=leaf_candidates((n, n, 1) for n in every_node),
                 )
             )
             plan.slots[0].load += mib(2)
@@ -217,9 +301,11 @@ class TestRebalance:
         plan = SlotPlan.build(ctx, CFG)
         assts = []
         for i, slot in enumerate(plan.slots):
-            cov = ExtentList.single(i * mib(4), mib(4))
             assts.append(
-                Assignment(slot.slot_id, cov, 0, {slot.node_id: ((0, 1),)})
+                Assignment(
+                    slot.slot_id, i * mib(4), (i + 1) * mib(4), 0,
+                    leaf_candidates([(0, slot.node_id, 1)]),
+                )
             )
             slot.load += mib(4)
         _, moves = rebalance(plan, assts)
@@ -259,7 +345,7 @@ def _reference_rebalance(plan, assignments, *, max_moves=None):
             a_bytes = a.nbytes
             local = [
                 s
-                for node in a.host_ranks
+                for node in a.candidates.hosts
                 for s in plan.by_node.get(node, ())
             ]
             for pool in (local, plan.slots):
@@ -327,9 +413,10 @@ def _build(slots, assignments):
         out.append(
             Assignment(
                 slot_id,
-                ExtentList.single(k * 4 * _GIB, nbytes),
+                k * 4 * _GIB,
+                k * 4 * _GIB + nbytes,
                 0,
-                {node: ((node, 1),) for node in hosts},
+                leaf_candidates((k, n, 1) for k, n in enumerate(hosts)),
             )
         )
         plan.slots[slot_id].load += nbytes
@@ -361,10 +448,13 @@ class TestBuildDomains:
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(mib(8))
         plan = SlotPlan.build(ctx, CFG)
-        a1 = Assignment(0, ExtentList.single(0, 100), 0, {0: ((0, 100),)})
-        a2 = Assignment(0, ExtentList.single(200, 100), 1, {0: ((0, 100),)})
+        # Stream ranks [0, 100) are bytes [0, 100), [100, 200) are
+        # [200, 300).
+        stream = RankStream(ExtentList.from_pairs([(0, 100), (200, 100)]))
+        a1 = Assignment(0, 0, 100, 0, leaf_candidates([(0, 0, 100)]))
+        a2 = Assignment(0, 100, 200, 1, leaf_candidates([(0, 0, 100)]))
         plan.slots[0].load += 200
-        domains = build_domains(plan, [a1, a2], ctx, CFG)
+        domains = build_domains(plan, [a1, a2], stream, ctx, CFG)
         assert len(domains) == 1
         assert domains[0].group_id == -1  # multi-group slot
         assert domains[0].coverage.to_pairs() == [(0, 100), (200, 100)]
@@ -373,6 +463,6 @@ class TestBuildDomains:
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(mib(8))
         plan = SlotPlan.build(ctx, CFG)
-        a = Assignment(0, ExtentList.single(0, 10), 0, {0: ((0, 10),)})
-        domains = build_domains(plan, [a], ctx, CFG)
+        a = Assignment(0, 0, 10, 0, leaf_candidates([(0, 0, 10)]))
+        domains = build_domains(plan, [a], RankStream(ExtentList.single(0, 10)), ctx, CFG)
         assert domains[0].buffer_bytes == 10  # capped by tiny coverage

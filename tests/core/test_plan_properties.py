@@ -73,7 +73,7 @@ def _assert_leaves_partition(tree, coverage):
         assert prev.hi == nxt.lo
     # coverages partition the input bytes: disjoint union == original
     assert sum(leaf.covered_bytes for leaf in leaves) == coverage.total
-    union = ExtentList.union_all([leaf.coverage for leaf in leaves])
+    union = ExtentList.union_all([tree.coverage(leaf) for leaf in leaves])
     assert union.to_pairs() == coverage.to_pairs()
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import FaultEvent, FaultSpec
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestProject:
@@ -443,14 +446,14 @@ class TestServe:
 
         sock = tmp_path / "serve.sock"
         metrics_json = tmp_path / "metrics.json"
-        env = dict(os.environ, PYTHONPATH="src")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--no-tcp",
              "--unix-socket", str(sock), "--pool", "thread",
              "--cache-dir", str(tmp_path / "cache"),
              "--metrics-json", str(metrics_json)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            env=env, cwd="/root/repo", text=True,
+            env=env, cwd=REPO, text=True,
         )
         try:
             deadline = time.monotonic() + 30

@@ -110,6 +110,32 @@ class TestIOR:
         wl = IORWorkload(4, block_size=400, transfer_size=100)
         assert wl.total_bytes() == 1600
 
+    @given(
+        n_procs=st.integers(1, 12),
+        transfer=st.integers(1, 64),
+        transfers=st.integers(1, 16),
+        segmented=st.booleans(),
+        data=st.data(),
+    )
+    def test_extents_match_normalized_pairs(
+        self, n_procs, transfer, transfers, segmented, data
+    ):
+        """The closed form equals normalizing the transfer list, for
+        touching transfers (one rank, one transfer) included."""
+        block = transfer * transfers
+        wl = IORWorkload(
+            n_procs, block_size=block, transfer_size=transfer, segmented=segmented
+        )
+        rank = data.draw(st.integers(0, n_procs - 1))
+        if segmented:
+            pairs = [(rank * block, block)]
+        else:
+            pairs = [
+                ((b * n_procs + rank) * transfer, transfer)
+                for b in range(transfers)
+            ]
+        assert wl.extents_for_rank(rank) == ExtentList.from_pairs(pairs)
+
 
 class TestSynthetic:
     def test_strided(self):
