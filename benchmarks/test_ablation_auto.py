@@ -119,8 +119,8 @@ def _render(data: dict) -> str:
     )
 
 
-def test_ablation_auto(benchmark):
-    data = benchmark.pedantic(gather, rounds=1, iterations=1)
+def test_ablation_auto():
+    data = gather()
     publish("ablation_auto", _render(data))
 
     for row in data["rows"]:

@@ -114,8 +114,8 @@ def _render(data: dict) -> str:
     )
 
 
-def test_ablation_borrow(benchmark):
-    data = benchmark.pedantic(gather, rounds=1, iterations=1)
+def test_ablation_borrow():
+    data = gather()
     publish("ablation_borrow", _render(data))
 
     # The headline claim: on at least one variance level the pooled arm

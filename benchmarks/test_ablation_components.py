@@ -88,19 +88,15 @@ def _run_ablation(machine, workload) -> str:
     )
 
 
-def test_ablation_components_interleaved(benchmark, machine, workload):
-    text = benchmark.pedantic(
-        _run_ablation, args=(machine, workload), rounds=1, iterations=1
-    )
+def test_ablation_components_interleaved(machine, workload):
+    text = _run_ablation(machine, workload)
     publish("ablation_components_interleaved", text)
     # Sanity: the table rendered with every variant present.
     assert "full MC-CIO" in text
     assert "A1" in text and "A2" in text and "A3" in text
 
 
-def test_ablation_components_segmented(benchmark, machine, segmented_workload):
-    text = benchmark.pedantic(
-        _run_ablation, args=(machine, segmented_workload), rounds=1, iterations=1
-    )
+def test_ablation_components_segmented(machine, segmented_workload):
+    text = _run_ablation(machine, segmented_workload)
     publish("ablation_components_segmented", text)
     assert "full MC-CIO" in text

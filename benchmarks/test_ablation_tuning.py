@@ -113,8 +113,8 @@ def _run(machine, workload) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def test_ablation_tuning(benchmark, machine, workload):
-    text = benchmark.pedantic(_run, args=(machine, workload), rounds=1, iterations=1)
+def test_ablation_tuning(machine, workload):
+    text = _run(machine, workload)
     publish("ablation_tuning", text)
     assert "Msg_ind sensitivity" in text
     assert "system calibration" in text

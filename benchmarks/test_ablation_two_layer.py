@@ -71,7 +71,7 @@ def _run(machine) -> str:
     )
 
 
-def test_ablation_two_layer(benchmark, machine):
-    text = benchmark.pedantic(_run, args=(machine,), rounds=1, iterations=1)
+def test_ablation_two_layer(machine):
+    text = _run(machine)
     publish("ablation_two_layer", text)
     assert "two-layer" in text

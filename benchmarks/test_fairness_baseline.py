@@ -76,7 +76,7 @@ def _run(machine) -> str:
     )
 
 
-def test_fairness_baseline(benchmark, machine):
-    text = benchmark.pedantic(_run, args=(machine,), rounds=1, iterations=1)
+def test_fairness_baseline(machine):
+    text = _run(machine)
     publish("fairness_baseline", text)
     assert "MC-CIO" in text

@@ -34,17 +34,13 @@ def workload():
 
 
 @pytest.mark.parametrize("kind", ["write", "read"])
-def test_fig6_coll_perf(benchmark, machine, workload, kind):
-    fig = benchmark.pedantic(
-        memory_sweep,
-        args=(machine, workload),
-        kwargs=dict(
-            kind=kind,
-            title="Figure 6: coll_perf 3-D array, 120 processes",
-            seeds=(7, 21),
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig6_coll_perf(machine, workload, kind):
+    fig = memory_sweep(
+        machine,
+        workload,
+        kind=kind,
+        title="Figure 6: coll_perf 3-D array, 120 processes",
+        seeds=(7, 21),
     )
     publish(f"fig6_coll_perf_{kind}", fig.render())
 

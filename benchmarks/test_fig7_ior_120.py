@@ -32,13 +32,9 @@ def workload():
 
 
 @pytest.mark.parametrize("kind", ["write", "read"])
-def test_fig7_ior_120(benchmark, machine, workload, kind):
-    fig = benchmark.pedantic(
-        memory_sweep,
-        args=(machine, workload),
-        kwargs=dict(kind=kind, title="Figure 7: IOR, 120 processes"),
-        rounds=1,
-        iterations=1,
+def test_fig7_ior_120(machine, workload, kind):
+    fig = memory_sweep(
+        machine, workload, kind=kind, title="Figure 7: IOR, 120 processes"
     )
     publish(f"fig7_ior_120_{kind}", fig.render())
 

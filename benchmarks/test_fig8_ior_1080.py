@@ -30,17 +30,13 @@ def workload():
 
 
 @pytest.mark.parametrize("kind", ["write", "read"])
-def test_fig8_ior_1080(benchmark, machine, workload, kind):
-    fig = benchmark.pedantic(
-        memory_sweep,
-        args=(machine, workload),
-        kwargs=dict(
-            kind=kind,
-            title="Figure 8: IOR, 1080 processes",
-            seeds=(7,),
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig8_ior_1080(machine, workload, kind):
+    fig = memory_sweep(
+        machine,
+        workload,
+        kind=kind,
+        title="Figure 8: IOR, 1080 processes",
+        seeds=(7,),
     )
     publish(f"fig8_ior_1080_{kind}", fig.render())
 

@@ -71,8 +71,8 @@ def _run(machine) -> str:
     )
 
 
-def test_strategy_context(benchmark, machine):
-    text = benchmark.pedantic(_run, args=(machine,), rounds=1, iterations=1)
+def test_strategy_context(machine):
+    text = _run(machine)
     publish("strategy_context", text)
     lines = {row.split()[0] for row in text.splitlines()[2:] if row.strip()}
     assert "independent" in lines and "memory-conscious" in lines

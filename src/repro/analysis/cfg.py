@@ -1,7 +1,7 @@
 """Per-function control-flow graphs over the :mod:`ast` module.
 
-The flow-sensitive lint rules (L300/L310/L320 families) need to reason
-about *paths* — a lock held on one branch but not the other, an RNG
+The flow-sensitive lint rules (L300/L310/L320) need to reason about
+*paths* — a future bound on one branch but not the other, an RNG
 seeded only inside an ``if``, a variable whose unit changes across a
 loop.  :func:`build_cfg` lowers one function body into basic blocks of
 straight-line statements connected by control edges; the worklist
@@ -15,10 +15,8 @@ appears exactly once on the paths that evaluate it:
   that evaluates them;
 * ``for`` iterables and loop targets become :class:`LoopIter` markers
   in the loop-header block;
-* ``with`` context managers become paired :class:`WithEnter` /
-  :class:`WithExit` markers bracketing the (inlined) body — this is
-  what lets the lock-ordering rule model "held for the duration of the
-  body" without special-casing the statement;
+* ``with`` context managers become a :class:`WithEnter` marker ahead
+  of the (inlined) body;
 * ``try`` is modelled coarsely but soundly for forward may-analyses:
   every block of the protected body gets an edge to every handler.
 
@@ -39,7 +37,6 @@ __all__ = [
     "LoopIter",
     "Marker",
     "WithEnter",
-    "WithExit",
     "build_cfg",
 ]
 
@@ -81,23 +78,11 @@ class LoopIter(Marker):
 class WithEnter(Marker):
     """Entry of a ``with`` block; ``items`` are the context managers."""
 
-    __slots__ = ("items", "is_async")
+    __slots__ = ("items",)
 
     def __init__(self, node: ast.With | ast.AsyncWith) -> None:
         super().__init__(node)
         self.items = node.items
-        self.is_async = isinstance(node, ast.AsyncWith)
-
-
-class WithExit(Marker):
-    """Normal exit of the matching :class:`WithEnter`."""
-
-    __slots__ = ("items", "is_async")
-
-    def __init__(self, node: ast.With | ast.AsyncWith) -> None:
-        super().__init__(node)
-        self.items = node.items
-        self.is_async = isinstance(node, ast.AsyncWith)
 
 
 #: what a basic block holds: plain statements and compound-stmt markers
@@ -154,13 +139,6 @@ class CFG:
         visit(self.entry_id)
         order.reverse()
         return order
-
-    def predecessors(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {b.id: [] for b in self.blocks}
-        for block in self.blocks:
-            for succ in block.succs:
-                preds[succ].append(block.id)
-        return preds
 
 
 class _Builder:
@@ -320,7 +298,6 @@ class _Builder:
         self.current.items.append(WithEnter(stmt))
         self._raise_edges()
         self._lower_body(stmt.body)
-        self.current.items.append(WithExit(stmt))
 
     def _lower_try(self, stmt: ast.Try) -> None:
         handler_blocks = [self._new_block() for _ in stmt.handlers]

@@ -7,23 +7,24 @@ share:
 
 * :class:`ModuleContext` — per-module symbol information: the import
   alias table (``np`` → ``numpy``, ``sleep`` → ``time.sleep``), the
-  package-scoping test, module-level constants, and module-level
-  mutable bindings;
+  package-scoping test, and module-level constants;
 * :func:`collect_functions` — every function/method/nested function in
   a module with its qualified name and (lazily built) CFG;
 * :func:`fixpoint` — a forward worklist solver over a
   :class:`~repro.analysis.cfg.CFG`: a rule provides an initial state, a
   ``join`` and a ``transfer`` over block items, and gets the stable
-  block-entry states back; :func:`emit_pass` then replays transfer once
-  with emission enabled so findings are reported exactly once, under
-  the fixpoint's states.
+  block-entry states back;
+* :func:`run_dataflow` — what every flow rule calls: the silent
+  fixpoint solve, then one replay of ``transfer`` with emission enabled
+  so findings are reported exactly once, under the fixpoint's states;
+* :func:`item_exprs` — the expressions one block item evaluates.
 
 Every lint rule subclasses :class:`FlowRule` and is orchestrated by
 :func:`run_flow_rules`; the lint front end owns suppression comments
 and rule selection.
 
 States must be *values* (compared with ``==``) drawn from a finite
-lattice per variable — the rules here use small enums and frozensets,
+lattice per variable — the rules here map keys to a few string tags,
 so termination follows from monotone joins; a generous iteration cap
 guards against a buggy transfer regardless.
 """
@@ -35,7 +36,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
 
-from .cfg import CFG, Item, build_cfg
+from .cfg import CFG, CondTest, Item, LoopIter, WithEnter, build_cfg
 
 __all__ = [
     "Emit",
@@ -45,11 +46,12 @@ __all__ = [
     "assign_target_keys",
     "collect_functions",
     "dotted_parts",
-    "emit_pass",
     "expr_key",
     "fixpoint",
+    "item_exprs",
     "iter_calls",
     "module_unit",
+    "run_dataflow",
     "run_flow_rules",
 ]
 
@@ -96,12 +98,6 @@ def assign_target_keys(target: ast.expr) -> list[str]:
     return [key] if key is not None else []
 
 
-_MUTABLE_CALLS = frozenset(
-    {"dict", "list", "set", "collections.defaultdict", "collections.OrderedDict",
-     "collections.deque", "collections.Counter"}
-)
-
-
 @dataclass(slots=True)
 class ModuleContext:
     """Symbol/alias information for one module under analysis.
@@ -117,7 +113,6 @@ class ModuleContext:
     module: str
     imports: dict[str, str] = field(default_factory=dict)
     constants: set[str] = field(default_factory=set)
-    mutable_globals: dict[str, int] = field(default_factory=dict)  # name -> lineno
 
     @classmethod
     def from_tree(cls, tree: ast.Module, rel_path: str) -> ModuleContext:
@@ -153,27 +148,20 @@ class ModuleContext:
         elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
             if isinstance(target, ast.Name):
-                self._classify_global(target.id, stmt.value, stmt.lineno)
+                self._note_constant(target.id, stmt.value)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             if isinstance(stmt.target, ast.Name):
-                self._classify_global(stmt.target.id, stmt.value, stmt.lineno)
+                self._note_constant(stmt.target.id, stmt.value)
         elif isinstance(stmt, (ast.If, ast.Try)):
             for inner in ast.iter_child_nodes(stmt):
                 if isinstance(inner, ast.stmt):
                     self._scan_toplevel(inner)
 
-    def _classify_global(self, name: str, value: ast.expr, lineno: int) -> None:
+    def _note_constant(self, name: str, value: ast.expr) -> None:
         if isinstance(value, ast.Constant) and isinstance(
             value.value, (int, float, str, bytes, bool)
         ):
             self.constants.add(name)
-        elif isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                                ast.DictComp, ast.SetComp)):
-            self.mutable_globals[name] = lineno
-        elif isinstance(value, ast.Call):
-            qual = self.qualified(value.func)
-            if qual in _MUTABLE_CALLS:
-                self.mutable_globals[name] = lineno
 
     def in_packages(self, packages: frozenset[str]) -> bool:
         """Whether any directory component or the module stem names one
@@ -205,7 +193,6 @@ class FunctionUnit:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     qualname: str
     is_async: bool
-    is_method: bool
     _cfg: CFG | None = None
 
     @property
@@ -234,7 +221,7 @@ def module_unit(tree: ast.Module) -> FunctionUnit:
     exactly like inside a function). Nested def/class statements are
     dropped — they have their own units.
     """
-    template = ast.parse("def _module_body_(): pass").body[0]
+    template = ast.parse("def _toplevel_(): pass").body[0]
     assert isinstance(template, ast.FunctionDef)
     body = [
         stmt
@@ -244,16 +231,14 @@ def module_unit(tree: ast.Module) -> FunctionUnit:
         )
     ]
     template.body = body if body else [ast.Pass()]
-    return FunctionUnit(
-        node=template, qualname="<module>", is_async=False, is_method=False
-    )
+    return FunctionUnit(node=template, qualname="<module>", is_async=False)
 
 
 def collect_functions(tree: ast.Module) -> list[FunctionUnit]:
     """Every function/method/nested function with its qualified name."""
     units: list[FunctionUnit] = []
 
-    def walk(body: Sequence[ast.stmt], prefix: str, in_class: bool) -> None:
+    def walk(body: Sequence[ast.stmt], prefix: str) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{stmt.name}"
@@ -262,19 +247,18 @@ def collect_functions(tree: ast.Module) -> list[FunctionUnit]:
                         node=stmt,
                         qualname=qualname,
                         is_async=isinstance(stmt, ast.AsyncFunctionDef),
-                        is_method=in_class,
                     )
                 )
-                walk(stmt.body, f"{qualname}.", in_class=False)
+                walk(stmt.body, f"{qualname}.")
             elif isinstance(stmt, ast.ClassDef):
-                walk(stmt.body, f"{prefix}{stmt.name}.", in_class=True)
+                walk(stmt.body, f"{prefix}{stmt.name}.")
             else:
                 # Functions defined under if/try at any statement depth.
                 for child in ast.iter_child_nodes(stmt):
                     if isinstance(child, ast.stmt):
-                        walk([child], prefix, in_class)
+                        walk([child], prefix)
 
-    walk(tree.body, "", in_class=False)
+    walk(tree.body, "")
     return units
 
 
@@ -315,24 +299,47 @@ def fixpoint(
     return in_states
 
 
-def emit_pass(
+def run_dataflow(
     cfg: CFG,
-    in_states: dict[int, S],
-    transfer: Callable[[S, Item], S],
+    initial: S,
+    transfer: Callable[[S, Item, Emit | None], S],
+    join: Callable[[S, S], S],
+    emit: Emit,
 ) -> None:
-    """Replay ``transfer`` once per block under the fixpoint states.
+    """Solve ``transfer`` to its fixpoint, then report under it.
 
-    The rule's transfer closes over its emit callback and only reports
-    during this pass (it is called exactly once per block item, with
-    the final abstract state), so findings are never duplicated by the
-    solver's repeated visits.
+    ``transfer(state, item, report)`` reports only when ``report`` is
+    not ``None``. The solve runs it with ``None``; a second pass then
+    replays it once per block item under the stable entry states with
+    ``emit``, so findings are never duplicated by the solver's repeated
+    visits.
     """
+    in_states = fixpoint(
+        cfg, initial, lambda state, item: transfer(state, item, None), join
+    )
     for bid in cfg.reverse_postorder():
         if bid not in in_states:
             continue
         state = in_states[bid]
         for item in cfg.blocks[bid].items:
-            state = transfer(state, item)
+            state = transfer(state, item, emit)
+
+
+def item_exprs(item: Item) -> list[ast.expr]:
+    """The expressions a block item evaluates at its position."""
+    if isinstance(item, CondTest):
+        return [item.expr]
+    if isinstance(item, LoopIter):
+        return [item.iter]
+    if isinstance(item, WithEnter):
+        return [w.context_expr for w in item.items]
+    if isinstance(item, ast.stmt):
+        return [
+            child
+            for child in ast.iter_child_nodes(item)
+            if isinstance(child, ast.expr)
+        ]
+    return []
 
 
 class FlowRule:
@@ -347,9 +354,6 @@ class FlowRule:
     codes: dict[str, str] = {}
     #: packages the rule applies to; ``None`` = every analyzed module
     packages: frozenset[str] | None = None
-    #: whether the rule also runs over the synthetic module-body unit
-    #: (rules about *function-scope* behaviour opt out)
-    module_body: bool = True
 
     def relevant(self, ctx: ModuleContext) -> bool:
         return self.packages is None or ctx.in_packages(self.packages)
@@ -377,8 +381,7 @@ def run_flow_rules(
     mod_unit = module_unit(tree)
     for rule in active:
         rule.check_module(ctx, tree, emit)
-        if rule.module_body:
-            rule.check_function(ctx, mod_unit, emit)
+        rule.check_function(ctx, mod_unit, emit)
         for unit in units:
             rule.check_function(ctx, unit, emit)
 

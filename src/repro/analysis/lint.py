@@ -33,10 +33,6 @@ L205      ``sim.run()`` without a horizon argument where the
 L300      blocking call (``time.sleep``, ``open``, sync
           ``http.client``, ``submit(...).result()``) reachable in an
           ``async def`` body in ``serve``/``client``
-L301      module-level mutable state written from function scope in
-          ``campaign``/``serve`` (worker/event-loop sharing hazard)
-L302      second lock acquired while one is held, unless ordered by
-          ascending shard index
 L310      RNG whose seed does not trace to SeedSequence/spec fields
 L320      arithmetic/comparison/bind across unit dimensions — bytes,
           MiB-family counts, byte rates, seconds, µs, ranks
@@ -58,7 +54,7 @@ from pathlib import Path
 
 from ..util.errors import ConfigurationError
 from .flow import Emit, FlowRule, ModuleContext, dotted_parts, run_flow_rules
-from .rules_concurrency import AsyncBlockingRule, LockOrderRule, SharedStateRule
+from .rules_concurrency import AsyncBlockingRule
 from .rules_determinism import DeterminismTaintRule
 from .rules_units import UnitDimensionRule
 from .violations import Report, Violation
@@ -185,8 +181,6 @@ def _check_sim_run(node: ast.Call, chain: tuple[str, ...], emit: Emit) -> None:
 _RULES: tuple[FlowRule, ...] = (
     CallRule(),
     AsyncBlockingRule(),
-    SharedStateRule(),
-    LockOrderRule(),
     DeterminismTaintRule(),
     UnitDimensionRule(),
 )

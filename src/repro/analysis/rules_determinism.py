@@ -34,9 +34,9 @@ case a single-expression name match cannot express.
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable
+from functools import partial
 
-from .cfg import CondTest, Item, LoopIter, WithEnter, WithExit
+from .cfg import Item, LoopIter
 from .flow import (
     Emit,
     FlowRule,
@@ -44,10 +44,10 @@ from .flow import (
     ModuleContext,
     assign_target_keys,
     dotted_parts,
-    emit_pass,
     expr_key,
-    fixpoint,
+    item_exprs,
     iter_calls,
+    run_dataflow,
 )
 
 __all__ = ["DeterminismTaintRule"]
@@ -130,24 +130,15 @@ class DeterminismTaintRule(FlowRule):
     def check_function(
         self, ctx: ModuleContext, unit: FunctionUnit, emit: Emit
     ) -> None:
-        cfg = unit.cfg
         initial: _Env = {}
         for param in unit.params:
             if _seedish(param):
                 initial[param] = TRUSTED_SEED
             elif _rngish(param):
                 initial[param] = TRUSTED_RNG
-
-        def transfer_factory(
-            report: Emit | None,
-        ) -> Callable[[_Env, Item], _Env]:
-            def transfer(env: _Env, item: Item) -> _Env:
-                return self._transfer(ctx, env, item, report)
-
-            return transfer
-
-        states = fixpoint(cfg, initial, transfer_factory(None), _join_env)
-        emit_pass(cfg, states, transfer_factory(emit))
+        run_dataflow(
+            unit.cfg, initial, partial(self._transfer, ctx), _join_env, emit
+        )
 
     # ------------------------------------------------------------ transfer
     def _transfer(
@@ -160,7 +151,7 @@ class DeterminismTaintRule(FlowRule):
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return env
         if report is not None:
-            for expr in _item_exprs(item):
+            for expr in item_exprs(item):
                 call_env = self._with_comprehension_targets(ctx, env, expr)
                 for call in iter_calls(expr):
                     self._check_call(ctx, call_env, call, report)
@@ -414,21 +405,3 @@ def _join_env(a: _Env, b: _Env) -> _Env:
             out[key] = TAINTED  # taint wins over any other fact
         # trusted-on-one-path only: drop to untracked
     return out
-
-
-def _item_exprs(item: Item) -> list[ast.expr]:
-    if isinstance(item, CondTest):
-        return [item.expr]
-    if isinstance(item, LoopIter):
-        return [item.iter]
-    if isinstance(item, WithEnter):
-        return [w.context_expr for w in item.items]
-    if isinstance(item, WithExit):
-        return []
-    if isinstance(item, ast.stmt):
-        return [
-            child
-            for child in ast.iter_child_nodes(item)
-            if isinstance(child, ast.expr)
-        ]
-    return []

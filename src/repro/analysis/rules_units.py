@@ -40,18 +40,18 @@ per-expression check could not see.
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable
+from functools import partial
 
-from .cfg import CondTest, Item, LoopIter, WithEnter, WithExit
+from .cfg import Item
 from .flow import (
     Emit,
     FlowRule,
     FunctionUnit,
     ModuleContext,
     assign_target_keys,
-    emit_pass,
     expr_key,
-    fixpoint,
+    item_exprs,
+    run_dataflow,
 )
 
 __all__ = ["UnitDimensionRule", "dim_from_name"]
@@ -121,23 +121,14 @@ class UnitDimensionRule(FlowRule):
     def check_function(
         self, ctx: ModuleContext, unit: FunctionUnit, emit: Emit
     ) -> None:
-        cfg = unit.cfg
         initial: _Env = {}
         for param in unit.params:
             dim = dim_from_name(param)
             if dim is not None:
                 initial[param] = dim
-
-        def transfer_factory(
-            report: Emit | None,
-        ) -> Callable[[_Env, Item], _Env]:
-            def transfer(env: _Env, item: Item) -> _Env:
-                return self._transfer(ctx, env, item, report)
-
-            return transfer
-
-        states = fixpoint(cfg, initial, transfer_factory(None), _join_env)
-        emit_pass(cfg, states, transfer_factory(emit))
+        run_dataflow(
+            unit.cfg, initial, partial(self._transfer, ctx), _join_env, emit
+        )
 
     # ------------------------------------------------------------ transfer
     def _transfer(
@@ -198,7 +189,7 @@ class UnitDimensionRule(FlowRule):
                         target=key,
                     )
             return env
-        for expr in _item_exprs(item):
+        for expr in item_exprs(item):
             self._dim_of(ctx, env, expr, report)
         return env
 
@@ -400,21 +391,3 @@ def _join_env(a: _Env, b: _Env) -> _Env:
     return {k: v for k, v in a.items() if b.get(k) == v} | {
         k: v for k, v in b.items() if a.get(k) == v
     }
-
-
-def _item_exprs(item: Item) -> list[ast.expr]:
-    if isinstance(item, CondTest):
-        return [item.expr]
-    if isinstance(item, LoopIter):
-        return [item.iter]
-    if isinstance(item, WithEnter):
-        return [w.context_expr for w in item.items]
-    if isinstance(item, WithExit):
-        return []
-    if isinstance(item, ast.stmt):
-        return [
-            child
-            for child in ast.iter_child_nodes(item)
-            if isinstance(child, ast.expr)
-        ]
-    return []

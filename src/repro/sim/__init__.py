@@ -1,7 +1,6 @@
 """Simulation substrate: discrete-event kernel, fluid flow solver, tracing."""
 
-from .engine import Delay, EventHandle, Process, Simulator
-from .resources import BandwidthPipe, Semaphore, Store
+from .engine import Simulator
 from .flows import (
     Flow,
     FluidSimulation,
@@ -14,12 +13,6 @@ from .trace import PhaseRecord, TraceRecorder
 
 __all__ = [
     "Simulator",
-    "Delay",
-    "EventHandle",
-    "Process",
-    "Semaphore",
-    "Store",
-    "BandwidthPipe",
     "Flow",
     "PhaseOutcome",
     "max_min_rates",

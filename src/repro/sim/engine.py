@@ -1,11 +1,10 @@
 """Discrete-event simulation engine.
 
-A minimal but complete event-driven kernel: a time-ordered heap of
-callbacks plus coroutine-style *processes* (generators that yield
-:class:`Delay` or :class:`EventHandle` objects). The collective-I/O cost
-models are mostly fluid/analytic (see :mod:`repro.sim.flows`), but the
-engine sequences multi-round schedules, lets the network model run in
-fine-grained mode, and gives tests a controllable clock.
+A minimal event-driven kernel: a simulated clock and a time-ordered
+heap of callbacks. The collective-I/O cost models are fluid/analytic
+(see :mod:`repro.sim.flows`); the engine sequences a fault schedule
+(:mod:`repro.faults.runtime`) against the round engine's clock and
+gives tests a controllable clock.
 
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotone sequence number breaks ties), so simulations are exactly
@@ -15,113 +14,12 @@ reproducible.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Generator, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..util.errors import SimulationError
 
-__all__ = ["Simulator", "Delay", "EventHandle", "Process"]
-
-
-@dataclass(frozen=True, slots=True)
-class Delay:
-    """Yielded by a process to sleep for ``duration`` simulated seconds."""
-
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimulationError(f"negative delay: {self.duration}")
-
-
-class EventHandle:
-    """A one-shot event processes can wait on and anyone can trigger.
-
-    ``value`` is delivered to every waiter as the result of their
-    ``yield``. Triggering twice is an error (events are one-shot by
-    design; recreate a handle for recurring conditions).
-    """
-
-    __slots__ = ("_sim", "_fired", "_value", "_waiters", "name")
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self._sim = sim
-        self._fired = False
-        self._value: Any = None
-        self._waiters: list["Process"] = []
-        self.name = name
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def trigger(self, value: Any = None) -> None:
-        """Fire the event now, resuming all waiters at the current time."""
-        if self._fired:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        self._fired = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self._sim._resume(proc, value)
-
-    def _add_waiter(self, proc: Process) -> None:
-        if self._fired:
-            self._sim._resume(proc, self._value)
-        else:
-            self._waiters.append(proc)
-
-
-ProcessGen = Generator[Any, Any, Any]
-
-
-class Process:
-    """A running coroutine process inside the simulator."""
-
-    __slots__ = ("_sim", "_gen", "done", "result", "_completion", "name")
-
-    def __init__(self, sim: Simulator, gen: ProcessGen, name: str = "") -> None:
-        self._sim = sim
-        self._gen = gen
-        self.done = False
-        self.result: Any = None
-        self._completion: EventHandle | None = None
-        self.name = name
-
-    @property
-    def completion(self) -> EventHandle:
-        """Event fired (with the return value) when the process finishes."""
-        if self._completion is None:
-            self._completion = EventHandle(self._sim, name=f"{self.name}.done")
-            if self.done:
-                self._completion.trigger(self.result)
-        return self._completion
-
-    def _step(self, send_value: Any) -> None:
-        try:
-            yielded = self._gen.send(send_value)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            if self._completion is not None and not self._completion.fired:
-                self._completion.trigger(self.result)
-            return
-        if isinstance(yielded, Delay):
-            self._sim.schedule(yielded.duration, lambda: self._step(None))
-        elif isinstance(yielded, EventHandle):
-            yielded._add_waiter(self)
-        elif isinstance(yielded, Process):
-            yielded.completion._add_waiter(self)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported {yielded!r}; "
-                "yield Delay, EventHandle, or Process"
-            )
+__all__ = ["Simulator"]
 
 
 @dataclass(order=True)
@@ -129,7 +27,6 @@ class _Scheduled:
     time: float
     seq: int
     callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class Simulator:
@@ -146,31 +43,12 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> _Scheduled:
-        """Run ``callback`` after ``delay`` seconds; returns a cancellable token."""
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        item = _Scheduled(self._now + delay, self._seq, callback)
+        heapq.heappush(self._heap, _Scheduled(self._now + delay, self._seq, callback))
         self._seq += 1
-        heapq.heappush(self._heap, item)
-        return item
-
-    def cancel(self, token: _Scheduled) -> None:
-        """Cancel a previously scheduled callback (no-op if already run)."""
-        token.cancelled = True
-
-    def event(self, name: str = "") -> EventHandle:
-        """Create a fresh one-shot event bound to this simulator."""
-        return EventHandle(self, name=name)
-
-    def process(self, gen: ProcessGen, name: str = "") -> Process:
-        """Start a coroutine process at the current time."""
-        proc = Process(self, gen, name=name)
-        self.schedule(0.0, lambda: proc._step(None))
-        return proc
-
-    def _resume(self, proc: Process, value: Any) -> None:
-        self.schedule(0.0, lambda: proc._step(value))
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Drain the event queue; returns the final simulated time.
@@ -189,8 +67,6 @@ class Simulator:
                     self._now = max(self._now, until)
                     return self._now
                 heapq.heappop(self._heap)
-                if item.cancelled:
-                    continue
                 count += 1
                 if count > max_events:
                     raise SimulationError(
@@ -203,19 +79,3 @@ class Simulator:
             return self._now
         finally:
             self._running = False
-
-    def run_process(self, gen: ProcessGen, name: str = "proc") -> Any:
-        """Convenience: start ``gen``, run to completion, return its value."""
-        proc = self.process(gen, name=name)
-        self.run()
-        if not proc.done:
-            raise SimulationError(f"process {name!r} deadlocked")
-        return proc.result
-
-    @staticmethod
-    def all_of(sim: Simulator, procs: Iterable[Process]) -> ProcessGen:
-        """A process that waits for every process in ``procs``."""
-        for proc in list(procs):
-            if not proc.done:
-                yield proc
-        return None

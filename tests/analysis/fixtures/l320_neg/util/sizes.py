@@ -1,6 +1,6 @@
 """L320 negatives: idiomatic unit handling stays silent."""
 
-from repro.util.units import GiB, MiB, mib
+from repro.util.units import GiB, MiB
 
 
 def same_dimension(a_bytes, b_bytes, c_mib, d_mib):

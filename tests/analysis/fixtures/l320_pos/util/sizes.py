@@ -1,6 +1,6 @@
 """L320 positives: cross-dimension arithmetic the lattice must catch."""
 
-from repro.util.units import MiB, mib
+from repro.util.units import mib
 
 
 def direct_mix(cap_mib, used_bytes):

@@ -24,7 +24,9 @@ class TestSarif:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "L310" in rule_ids and "L320" in rule_ids
+        assert rule_ids == {
+            "L200", "L202", "L204", "L205", "L300", "L310", "L320",
+        }
         result = run["results"][0]
         assert result["ruleId"] == "L310"
         loc = result["locations"][0]["physicalLocation"]

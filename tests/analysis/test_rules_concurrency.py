@@ -1,4 +1,4 @@
-"""L300/L301/L302 concurrency rules against the committed fixture pairs."""
+"""The L300 async-blocking rule against its committed fixture pair."""
 
 from __future__ import annotations
 
@@ -39,28 +39,3 @@ class TestL300AsyncBlocking:
             assert v.file.endswith("handlers.py")
             assert v.line > 0
 
-
-class TestL301SharedState:
-    def test_positive_fixture_fires_only_l301(self):
-        assert fired(FIXTURES / "l301_pos") == {"L301"}
-
-    def test_negative_fixture_is_clean(self):
-        report = lint_paths([FIXTURES / "l301_neg"])
-        assert report.ok, report.render()
-
-    def test_covers_rebind_mutation_and_delete(self):
-        msgs = [v.message for v in violations(FIXTURES / "l301_pos")]
-        assert len(msgs) >= 4  # item assign, .append, global rebind, del
-
-
-class TestL302LockOrder:
-    def test_positive_fixture_fires_only_l302(self):
-        assert fired(FIXTURES / "l302_pos") == {"L302"}
-
-    def test_negative_fixture_is_clean(self):
-        report = lint_paths([FIXTURES / "l302_neg"])
-        assert report.ok, report.render()
-
-    def test_descending_shard_acquire_is_flagged(self):
-        lines = {v.line: v.message for v in violations(FIXTURES / "l302_pos")}
-        assert any("while holding" in m or "held" in m for m in lines.values())

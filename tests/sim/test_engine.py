@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Delay, Simulator
+from repro.sim import Simulator
 from repro.util import SimulationError
 
 
@@ -33,14 +33,6 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
-
-    def test_cancel(self):
-        sim = Simulator()
-        fired = []
-        token = sim.schedule(1.0, lambda: fired.append("x"))
-        sim.cancel(token)
-        sim.run()
-        assert fired == []
 
     def test_run_until_bounds_time(self):
         sim = Simulator()
@@ -93,99 +85,3 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="runaway"):
             sim.run(max_events=1000)
 
-
-class TestProcesses:
-    def test_delay_sequence(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield Delay(1.5)
-            trace.append(sim.now)
-            yield Delay(0.5)
-            trace.append(sim.now)
-            return "done"
-
-        result = sim.run_process(proc())
-        assert result == "done"
-        assert trace == [0.0, 1.5, 2.0]
-
-    def test_event_wait_and_trigger(self):
-        sim = Simulator()
-        ev = sim.event("gate")
-        got = []
-
-        def waiter():
-            value = yield ev
-            got.append((value, sim.now))
-
-        def firer():
-            yield Delay(2.0)
-            ev.trigger(42)
-
-        sim.process(waiter(), "waiter")
-        sim.process(firer(), "firer")
-        sim.run()
-        assert got == [(42, 2.0)]
-
-    def test_event_triggered_before_wait(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.trigger("early")
-        got = []
-
-        def waiter():
-            value = yield ev
-            got.append(value)
-
-        sim.process(waiter())
-        sim.run()
-        assert got == ["early"]
-
-    def test_double_trigger_rejected(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.trigger()
-        with pytest.raises(SimulationError):
-            ev.trigger()
-
-    def test_process_waits_for_process(self):
-        sim = Simulator()
-        order = []
-
-        def child():
-            yield Delay(3.0)
-            order.append("child")
-            return 7
-
-        def parent():
-            proc = sim.process(child(), "child")
-            value = yield proc
-            order.append(("parent", value, sim.now))
-
-        sim.process(parent(), "parent")
-        sim.run()
-        assert order == ["child", ("parent", 7, 3.0)]
-
-    def test_bad_yield_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield "not a delay"
-
-        sim.process(proc(), "bad")
-        with pytest.raises(SimulationError, match="unsupported"):
-            sim.run()
-
-    def test_all_of_waits_for_every_process(self):
-        sim = Simulator()
-
-        def worker(t):
-            yield Delay(t)
-            return t
-
-        procs = [sim.process(worker(t), f"w{t}") for t in (1.0, 3.0, 2.0)]
-        sim.run_process(Simulator.all_of(sim, procs))
-        assert sim.now == 3.0
-        assert all(p.done for p in procs)

@@ -410,8 +410,7 @@ class TestLint:
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line.strip()]
         assert listed == [
-            "L200", "L202", "L204", "L205",
-            "L300", "L301", "L302", "L310", "L320",
+            "L200", "L202", "L204", "L205", "L300", "L310", "L320",
         ]
 
     def test_sarif_format(self, tmp_path, capsys):
