@@ -36,7 +36,7 @@ class Allocation:
 class MemoryManager:
     """Tracks one node's memory capacity and live allocations."""
 
-    __slots__ = ("node_id", "capacity", "_reserved", "_allocs", "_watermark")
+    __slots__ = ("node_id", "capacity", "_reserved", "_allocs", "_in_use", "_watermark")
 
     def __init__(self, node_id: int, capacity: int, reserved: int = 0) -> None:
         self.node_id = node_id
@@ -48,6 +48,7 @@ class MemoryManager:
             )
         self._reserved = reserved
         self._allocs: dict[str, Allocation] = {}
+        self._in_use = 0  # sum of the live allocations' bytes
         self._watermark = 0
 
     # ------------------------------------------------------------- queries
@@ -59,7 +60,7 @@ class MemoryManager:
     @property
     def in_use(self) -> int:
         """Bytes currently held by live allocations."""
-        return sum(a.nbytes for a in self._allocs.values())
+        return self._in_use
 
     @property
     def available(self) -> int:
@@ -107,7 +108,8 @@ class MemoryManager:
             )
         alloc = Allocation(self.node_id, tag, nbytes)
         self._allocs[tag] = alloc
-        self._watermark = max(self._watermark, self.in_use)
+        self._in_use += nbytes
+        self._watermark = max(self._watermark, self._in_use)
         return alloc
 
     def release(self, tag: str) -> None:
@@ -116,11 +118,12 @@ class MemoryManager:
             raise MemoryPressureError(
                 f"node {self.node_id}: releasing unknown tag {tag!r}"
             )
-        del self._allocs[tag]
+        self._in_use -= self._allocs.pop(tag).nbytes
 
     def release_all(self) -> None:
         """Drop every live allocation (end of one collective operation)."""
         self._allocs.clear()
+        self._in_use = 0
 
     def reset_watermark(self) -> None:
         self._watermark = self.in_use

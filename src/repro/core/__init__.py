@@ -17,7 +17,6 @@ from .placement import (  # noqa: F401
     CandidateSource,
     LeafCandidates,
     PlacementStats,
-    Slot,
     SlotPlan,
     build_domains,
     place_group,
@@ -37,7 +36,6 @@ __all__ = [
     "plan_from_dict",
     "canonical_json",
     "spec_hash",
-    "Slot",
     "SlotPlan",
     "PlacementStats",
     "place_group",

@@ -25,7 +25,6 @@ runs on the workload's columns in
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,38 +42,36 @@ class AggregationGroup:
     group_id: int
     region: Extent
     coverage: ExtentList
-    member_ranks: tuple[int, ...]
 
     @property
     def covered_bytes(self) -> int:
         return self.coverage.total
 
 
-@dataclass(frozen=True, slots=True)
-class _NodeAccess:
-    node_id: int
-    start: int
-    end: int
-    nbytes: int
+#: Per-node access envelopes as parallel int64 columns ``(node, start,
+#: end, nbytes)``: each node's first offset, last end and covered bytes,
+#: in (start, end) order with ties in first-appearance order.
+NodeEnvelopes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _infos_serial(infos: Sequence[_NodeAccess], overlap_threshold: float) -> bool:
-    """Serial-distribution test over pre-built node envelopes."""
-    if len(infos) <= 1:
+def _infos_serial(envelopes: NodeEnvelopes, overlap_threshold: float) -> bool:
+    """Serial-distribution test over node envelopes: the bytes by which
+    each node's span overlaps the nodes before it, over the summed
+    spans. Both sums are Python ints, so offsets near 2**62 cannot
+    overflow them."""
+    _, start, end, _ = envelopes
+    if start.size <= 1:
         return True
-    span_sum = sum(n.end - n.start for n in infos)
+    span_sum = sum((end - start).tolist())
     if span_sum == 0:
         return True
-    overlap = 0
-    max_end = infos[0].end
-    for node in infos[1:]:
-        overlap += max(0, min(max_end, node.end) - node.start)
-        max_end = max(max_end, node.end)
-    return overlap / span_sum <= overlap_threshold
+    reach = np.maximum.accumulate(end[:-1])
+    overlap = np.maximum(np.minimum(reach, end[1:]) - start[1:], 0)
+    return sum(overlap.tolist()) / span_sum <= overlap_threshold
 
 
 def _serial_boundaries_from(
-    infos: Sequence[_NodeAccess],
+    envelopes: NodeEnvelopes,
     config: MemoryConsciousConfig,
     env: Extent,
 ) -> list[int]:
@@ -89,20 +86,20 @@ def _serial_boundaries_from(
     after the accumulator trips, the boundary keeps absorbing nodes
     until none starts before it.
     """
+    _, start, end, nbytes = (column.tolist() for column in envelopes)
     boundaries = [env.offset]
     acc = 0
     group_end = env.offset
     i = 0
-    n = len(infos)
+    n = len(start)
     while i < n:
-        node = infos[i]
-        acc += node.nbytes
-        group_end = max(group_end, node.end)
+        acc += nbytes[i]
+        group_end = max(group_end, end[i])
         i += 1
         if acc >= config.msg_group and i < n:
-            while i < n and infos[i].start < group_end:
-                acc += infos[i].nbytes
-                group_end = max(group_end, infos[i].end)
+            while i < n and start[i] < group_end:
+                acc += nbytes[i]
+                group_end = max(group_end, end[i])
                 i += 1
             if i < n and group_end > boundaries[-1]:
                 boundaries.append(group_end)

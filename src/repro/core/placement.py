@@ -8,7 +8,11 @@ slots, each backed by at least ``Mem_min`` of buffer, the node's
 available memory divided evenly among them. Memory-rich nodes offer
 many large-buffer slots; starved nodes offer none — this is "identify
 the host with maximum system memory available" plus the "< Nah
-aggregators" constraint, applied cluster-wide.
+aggregators" constraint, applied cluster-wide. The plan is a table of
+per-slot columns (node, buffer, load), built in one pass over the
+per-node availability vector: a node's slots are a contiguous id range,
+and borrow-backed slots opened during placement are appended after all
+of them.
 
 **Leaf assignment** (:func:`place_group`). Every partition-tree leaf is
 assigned to a slot on a host of the processes whose requests intersect
@@ -38,7 +42,7 @@ single file domain processed in buffer-sized rounds
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -55,7 +59,6 @@ from .partition_tree import PartitionNode, PartitionTree, RankStream
 
 __all__ = [
     "PlacementStats",
-    "Slot",
     "SlotPlan",
     "Assignment",
     "CandidateSource",
@@ -84,31 +87,20 @@ class PlacementStats:
         self.n_borrows += other.n_borrows
 
 
-@dataclass(slots=True)
-class Slot:
-    """One aggregator opportunity on a node.
-
-    A slot with ``borrowed_bytes > 0`` is *borrow-backed*: that much of
-    its buffer lives in the machine's remote-memory pool over access
-    link ``borrow_link``, created because borrowing priced at
-    ``borrow_price_s`` beat the local alternative at ``local_price_s``.
-    """
-
-    slot_id: int
-    node_id: int
-    buffer_bytes: int
-    load: int = 0  # covered bytes assigned so far
-    borrowed_bytes: int = 0
-    borrow_link: int = 0
-    borrow_price_s: float = 0.0
-    local_price_s: float = 0.0
-
-    def projected_rounds(self, extra: int = 0) -> float:
-        return (self.load + extra) / self.buffer_bytes
-
-
 class SlotPlan:
     """All aggregator slots the cluster's memory supports right now.
+
+    A slot table: slot ``j`` sits on node ``node[j]`` with ``buffer[j]``
+    bytes of buffer and ``load[j]`` covered bytes assigned so far, each a
+    plain list so the per-leaf scans index Python ints. A node's initial
+    slots are the contiguous range ``start[n]:start[n + 1]``; slots
+    opened later (borrow-backed ones) are appended after all of them
+    and listed per node in ``extra``. A borrow-backed slot also records
+    ``borrows[j] = (borrowed_bytes, borrow_link, borrow_price_s,
+    local_price_s)``: that much of its buffer lives in the machine's
+    remote-memory pool over access link ``borrow_link``, opened because
+    borrowing priced at ``borrow_price_s`` beat the local alternative
+    at ``local_price_s``.
 
     ``pool_remaining`` is the *planner's* budget of remote-pool bytes —
     a local counter seeded from the machine's pool capacity, decremented
@@ -117,85 +109,128 @@ class SlotPlan:
     re-applies borrows from the plan's provenance.
     """
 
-    def __init__(self, slots: list[Slot], *, pool_remaining: int = 0) -> None:
-        self.slots = slots
+    def __init__(
+        self,
+        counts: Sequence[int],
+        buffers: Sequence[int],
+        *,
+        pool_remaining: int = 0,
+    ) -> None:
+        """``counts[n]`` initial slots on node ``n``, with ``buffers``
+        giving every slot's buffer, node by node."""
+        per_node = np.asarray(counts, dtype=np.int64)
+        self.start: list[int] = np.concatenate(([0], np.cumsum(per_node))).tolist()
+        self.node: list[int] = np.repeat(np.arange(per_node.size), per_node).tolist()
+        self.buffer: list[int] = np.asarray(buffers, dtype=np.int64).tolist()
+        if len(self.buffer) != self.start[-1]:
+            raise PlacementError("one buffer per slot is required")
+        self.load: list[int] = [0] * len(self.buffer)
+        self.extra: dict[int, list[int]] = {}
+        self.borrows: dict[int, tuple[int, int, float, float]] = {}
         self.pool_remaining = pool_remaining
-        self.by_node: dict[int, list[Slot]] = {}
-        for slot in slots:
-            self.by_node.setdefault(slot.node_id, []).append(slot)
+        self._link_borrowers: dict[int, int] = {}
 
     @classmethod
     def build(cls, ctx: IOContext, config: MemoryConsciousConfig) -> SlotPlan:
         pool = ctx.machine.remote_pool
         pool_remaining = pool.capacity if pool is not None else 0
+        n_nodes = ctx.cluster.n_nodes
         if not config.dynamic_placement:
             # Ablation A3: memory-oblivious placement — one aggregator
             # slot per node with the hinted buffer size, exactly like the
             # baseline's aggregator choice (paging included), but still
             # under MC-CIO's grouping and partitioning.
             return cls(
-                [
-                    Slot(i, node.node_id, ctx.hints.cb_buffer_size)
-                    for i, node in enumerate(ctx.cluster.nodes)
-                ],
+                [1] * n_nodes,
+                [ctx.hints.cb_buffer_size] * n_nodes,
                 pool_remaining=pool_remaining,
             )
-        slots: list[Slot] = []
-        for node in ctx.cluster.nodes:
-            avail = node.available_memory
-            k = int(min(config.nah, avail // max(config.mem_min, 1)))
-            if k < 1:
-                continue
-            # The node's whole available memory is divided among its
-            # slots; Msg_ind governs *domain granularity*, not buffer
-            # size — a slot with a large share simply covers several
-            # Msg_ind-sized domains per round.
-            buffer_bytes = int(avail // k)
-            for _ in range(k):
-                slots.append(Slot(len(slots), node.node_id, buffer_bytes))
-        if not slots:
+        avail = ctx.cluster.available_by_node()
+        counts = np.clip(avail // max(config.mem_min, 1), 0, config.nah)
+        if not counts.any():
             # Every node is starved: degrade to one paging slot per node
             # with the minimum buffer, so the operation still spreads.
-            for node in ctx.cluster.nodes:
-                slots.append(
-                    Slot(len(slots), node.node_id, max(config.mem_min, 1))
-                )
-        return cls(slots, pool_remaining=pool_remaining)
+            return cls(
+                [1] * n_nodes,
+                [max(config.mem_min, 1)] * n_nodes,
+                pool_remaining=pool_remaining,
+            )
+        # The node's whole available memory is divided among its slots;
+        # Msg_ind governs *domain granularity*, not buffer size — a slot
+        # with a large share simply covers several Msg_ind-sized domains
+        # per round.
+        slotted = counts > 0
+        buffers = np.repeat(avail[slotted] // counts[slotted], counts[slotted])
+        return cls(counts, buffers, pool_remaining=pool_remaining)
 
-    def add_slot(self, slot: Slot) -> None:
-        self.slots.append(slot)
-        self.by_node.setdefault(slot.node_id, []).append(slot)
+    def add_borrow_slot(
+        self,
+        node: int,
+        buffer_bytes: int,
+        borrow: tuple[int, int, float, float],
+    ) -> int:
+        """Append a borrow-backed slot on ``node``; returns its id."""
+        slot = len(self.buffer)
+        self.node.append(node)
+        self.buffer.append(buffer_bytes)
+        self.load.append(0)
+        self.extra.setdefault(node, []).append(slot)
+        self.borrows[slot] = borrow
+        link = borrow[1]
+        self._link_borrowers[link] = self._link_borrowers.get(link, 0) + 1
+        return slot
 
     def borrowers_on_link(self, link: int) -> int:
         """Borrow-backed slots already planned onto access link ``link``."""
-        return sum(
-            1
-            for s in self.slots
-            if s.borrowed_bytes > 0 and s.borrow_link == link
-        )
+        return self._link_borrowers.get(link, 0)
 
-    @property
-    def total_buffer(self) -> int:
-        return sum(s.buffer_bytes for s in self.slots)
+    def on_nodes(self, node_ids: Iterable[int]) -> list[int]:
+        """Slot ids on ``node_ids``, node by node: each node's initial
+        range, then its appended slots."""
+        start, extra = self.start, self.extra
+        slots: list[int] = []
+        for node in node_ids:
+            slots.extend(range(start[node], start[node + 1]))
+            if node in extra:
+                slots.extend(extra[node])
+        return slots
 
-    def best_for(self, node_ids, covered: int) -> Slot | None:
-        """Least-projected-rounds slot among ``node_ids`` (None if none)."""
-        best: Slot | None = None
-        best_key: tuple[float, int] | None = None
-        for node_id in node_ids:
-            for slot in self.by_node.get(node_id, ()):
-                key = (slot.projected_rounds(covered), -slot.buffer_bytes)
-                if best_key is None or key < best_key:
-                    best, best_key = slot, key
+    def best_for(self, node_ids: Iterable[int], covered: int) -> int | None:
+        """Least-projected-rounds slot among ``node_ids`` (None if none).
+
+        Scans the slots in :meth:`on_nodes` order; the key is
+        ``((load + covered) / buffer, -buffer)`` and the first minimum
+        wins.
+        """
+        load, buffer = self.load, self.buffer
+        best: int | None = None
+        best_rounds = best_buffer = 0.0
+        for j in self.on_nodes(node_ids):
+            rounds = (load[j] + covered) / buffer[j]
+            if (
+                best is None
+                or rounds < best_rounds
+                or (rounds == best_rounds and buffer[j] > best_buffer)
+            ):
+                best, best_rounds, best_buffer = j, rounds, buffer[j]
         return best
 
-    def best_anywhere(self, covered: int) -> Slot:
-        slot = self.best_for(self.by_node.keys(), covered)
+    def best_anywhere(self, covered: int) -> int:
+        """:meth:`best_for` over every node with a slot: nodes with
+        initial slots in node order, then the others in the order their
+        first slot was appended."""
+        starts = self.start
+        nodes = [n for n in range(len(starts) - 1) if starts[n + 1] > starts[n]]
+        nodes += [n for n in self.extra if starts[n + 1] == starts[n]]
+        slot = self.best_for(nodes, covered)
         assert slot is not None  # plan construction guarantees >= 1 slot
         return slot
 
     def max_rounds(self) -> float:
-        return max((s.projected_rounds() for s in self.slots), default=0.0)
+        return max(
+            (load / buffer for load, buffer in zip(self.load, self.buffer)),
+            default=0.0,
+        )
 
 
 class LeafCandidates:
@@ -364,9 +399,7 @@ def place_group(
                 if prior is not None:
                     # The taker already absorbed `covered`; undo its old
                     # contribution to its slot.
-                    _slot_of(plan, prior.slot_id).load -= (
-                        taker.covered_bytes - covered
-                    )
+                    plan.load[prior.slot_id] -= taker.covered_bytes - covered
                 # Surgery is local: the departed leaf's in-order
                 # neighbour on the taker's side (its sibling in case 5a,
                 # the taker itself in case 5b) becomes the taker, and
@@ -378,9 +411,9 @@ def place_group(
                 continue
             slot = plan.best_anywhere(covered)
             stats.n_fallbacks += 1
-        slot.load += covered
+        plan.load[slot] += covered
         assigned[id(leaf)] = Assignment(
-            slot_id=slot.slot_id,
+            slot_id=slot,
             a=leaf.a,
             b=leaf.b,
             group_id=group.group_id,
@@ -391,10 +424,6 @@ def place_group(
     assignments = [assigned[id(leaf)] for leaf in leaves]
     stats.n_domains += len(assignments)
     return assignments, stats
-
-
-def _slot_of(plan: SlotPlan, slot_id: int) -> Slot:
-    return plan.slots[slot_id]
 
 
 # Control record exchanged when a domain is re-homed (same constant the
@@ -409,7 +438,7 @@ def _borrow_slot(
     ctx: IOContext,
     config: MemoryConsciousConfig,
     stats: PlacementStats,
-) -> Slot | None:
+) -> int | None:
     """Open a borrow-backed slot on a candidate host, if it prices well.
 
     The local alternative is remerging the leaf onto a neighbour (ship
@@ -451,16 +480,9 @@ def _borrow_slot(
     )
     if borrow_price > local_price:
         return None
-    slot = Slot(
-        len(plan.slots),
-        node_id,
-        buffer_bytes,
-        borrowed_bytes=deficit,
-        borrow_link=link,
-        borrow_price_s=borrow_price,
-        local_price_s=local_price,
+    slot = plan.add_borrow_slot(
+        node_id, buffer_bytes, (deficit, link, borrow_price, local_price)
     )
-    plan.add_slot(slot)
     plan.pool_remaining -= deficit
     stats.n_borrows += 1
     return slot
@@ -480,9 +502,9 @@ def rebalance(
     assignment's own candidate hosts (locality), falling back to any
     slot. Returns the updated assignment list and the move count.
 
-    Loads live in arrays while the greedy runs and are written back to
-    the slots at the end. The tie-breaks are exact: the worst slot is
-    the first in ``plan.slots`` order with the maximal ``load / buffer``
+    The greedy updates the plan's load column in place, with int64
+    twins of loads and buffers for the scans. The tie-breaks are exact:
+    the worst slot is the first in slot order with the maximal ``load / buffer``
     (int64 division equals Python's while loads stay below 2**53); its
     assignments are tried smallest first, equal sizes in the order they
     joined the slot; local targets are scanned before remote ones, and
@@ -493,10 +515,8 @@ def rebalance(
         return assignments, 0
     if max_moves is None:
         max_moves = 4 * len(assignments)
-    slots = plan.slots
     # Python ints for exact scalar division, int64 twins for the scans.
-    load = [s.load for s in slots]
-    buffer = [s.buffer_bytes for s in slots]
+    load, buffer = plan.load, plan.buffer
     load_arr = np.array(load, dtype=np.int64)
     buffer_arr = np.array(buffer, dtype=np.int64)
     rounds = load_arr / buffer_arr
@@ -508,7 +528,6 @@ def rebalance(
         entries.sort()
     arrival = len(assignments)
     slot_of = [a.slot_id for a in assignments]
-    moved: set[int] = set()
     moves = 0
     eps = 1e-9
 
@@ -522,14 +541,12 @@ def rebalance(
         for k, (a_bytes, _, i) in enumerate(members.get(worst, ())):
             after = (load[worst] - a_bytes) / buffer[worst]
             best = None
-            for node in assignments[i].candidates.hosts:
-                for slot in plan.by_node.get(node, ()):
-                    j = slot.slot_id
-                    if j == worst:
-                        continue
-                    new_max = max(after, (load[j] + a_bytes) / buffer[j])
-                    if new_max < limit and (best is None or new_max < best - eps):
-                        target, best = j, new_max
+            for j in plan.on_nodes(assignments[i].candidates.hosts):
+                if j == worst:
+                    continue
+                new_max = max(after, (load[j] + a_bytes) / buffer[j])
+                if new_max < limit and (best is None or new_max < best - eps):
+                    target, best = j, new_max
             if target < 0:  # no local move: scan every slot
                 values = np.maximum(after, (load_arr + a_bytes) / buffer_arr)
                 values[worst] = np.inf
@@ -545,11 +562,8 @@ def rebalance(
             load[slot] += delta
             load_arr[slot] = load[slot]
             rounds[slot] = load[slot] / buffer[slot]
-            moved.add(slot)
         slot_of[i] = target
         moves += 1
-    for slot in moved:
-        slots[slot].load = load[slot]
     out = [
         a if a.slot_id == slot else replace(a, slot_id=slot)
         for a, slot in zip(assignments, slot_of)
@@ -628,21 +642,24 @@ def build_domains(
 
     domains: list[FileDomain] = []
     for k, slot_id in enumerate(slot_s[item_first].tolist()):
-        slot_k = plan.slots[slot_id]
         coverage = ExtentList(
             starts[ext_lo[k]:ext_hi[k]], ends[ext_lo[k]:ext_hi[k]], _trusted=True
         )
         rank = aggregators.get(slot_id)
         if rank is None:
-            ranks = ctx.cluster.ranks_on_node(slot_k.node_id)
+            node = plan.node[slot_id]
+            ranks = ctx.cluster.ranks_on_node(node)
             if ranks.size == 0:
-                raise PlacementError(f"node {slot_k.node_id} hosts no ranks")
+                raise PlacementError(f"node {node} hosts no ranks")
             rank = int(ranks[0])
         env = coverage.envelope()
-        buffer_bytes = min(slot_k.buffer_bytes, max(coverage.total, 1))
+        buffer_bytes = min(plan.buffer[slot_id], max(coverage.total, 1))
         # Borrow provenance rides through to the plan: the borrowed
         # share can never exceed the (possibly coverage-clamped) buffer.
-        borrowed = min(slot_k.borrowed_bytes, buffer_bytes)
+        slot_borrowed, link, borrow_price, local_price = plan.borrows.get(
+            slot_id, (0, 0, 0.0, 0.0)
+        )
+        borrowed = min(slot_borrowed, buffer_bytes)
         domains.append(
             FileDomain(
                 region=Extent(env.offset, env.length),
@@ -653,10 +670,10 @@ def build_domains(
                 n_leaves=n_leaves[k],
                 remerged=any_remerged[k],
                 borrowed_bytes=borrowed,
-                borrow_link=slot_k.borrow_link if borrowed > 0 else 0,
+                borrow_link=link if borrowed > 0 else 0,
                 borrow_lever="borrow" if borrowed > 0 else "",
-                borrow_price_s=slot_k.borrow_price_s if borrowed > 0 else 0.0,
-                local_price_s=slot_k.local_price_s if borrowed > 0 else 0.0,
+                borrow_price_s=borrow_price if borrowed > 0 else 0.0,
+                local_price_s=local_price if borrowed > 0 else 0.0,
             )
         )
     domains.sort(key=lambda d: d.region.offset)
@@ -681,9 +698,9 @@ def _affinity_ranks(
     nodes = np.concatenate([c.nodes for c in cands])
     nbytes = np.concatenate([c.nbytes for c in cands])
     lengths = np.fromiter((c.hi - c.lo for c in cands), np.int64, len(cands))
-    slot_node = np.fromiter((s.node_id for s in plan.slots), np.int64, len(plan.slots))
+    host = np.fromiter((plan.node[j] for j in slot.tolist()), np.int64, slot.size)
     entry_slot = np.repeat(slot, lengths)
-    on_host = nodes == slot_node[entry_slot]
+    on_host = nodes == np.repeat(host, lengths)
     if not on_host.any():
         return {}
     span = int(ranks.max()) + 1

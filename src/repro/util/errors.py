@@ -20,7 +20,6 @@ __all__ = [
     "ConfigurationError",
     "SpecError",
     "SimulationError",
-    "ResourceError",
     "FileSystemError",
     "StripingError",
     "DatatypeError",
@@ -66,10 +65,6 @@ SpecError = ConfigurationError
 
 class SimulationError(ReproError, RuntimeError):
     """The discrete-event / flow simulation reached an invalid state."""
-
-
-class ResourceError(SimulationError):
-    """A simulated shared resource was used inconsistently."""
 
 
 class FileSystemError(ReproError, RuntimeError):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import MemoryManager
 from repro.util import MemoryPressureError, mib
@@ -78,3 +80,56 @@ class TestAllocation:
         assert mm.available == mib(10)
         with pytest.raises(MemoryPressureError):
             mm.set_reserved(mib(200))
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("allocate"),
+            st.integers(0, 5),
+            st.integers(0, mib(80)),
+            st.booleans(),
+        ),
+        st.tuples(st.just("release"), st.integers(0, 5)),
+        st.tuples(st.just("release_all")),
+        st.tuples(st.just("reset_watermark")),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=_ops)
+def test_in_use_is_the_sum_of_live_allocations(ops):
+    """Over any allocate/release/release_all sequence, oversubscribed
+    ones included, ``in_use`` is the live allocations' byte sum and the
+    watermark is the largest ``in_use`` since the last reset."""
+    mm = MemoryManager(0, mib(100), reserved=mib(10))
+    live: dict[str, int] = {}
+    peak = 0
+    for op in ops:
+        if op[0] == "allocate":
+            _, tag, nbytes, over = op
+            try:
+                mm.allocate(f"t{tag}", nbytes, allow_oversubscribe=over)
+            except MemoryPressureError:
+                assert f"t{tag}" in live or (not over and nbytes > mm.available)
+            else:
+                live[f"t{tag}"] = nbytes
+        elif op[0] == "release":
+            tag = f"t{op[1]}"
+            if tag in live:
+                mm.release(tag)
+                del live[tag]
+            else:
+                with pytest.raises(MemoryPressureError):
+                    mm.release(tag)
+        elif op[0] == "release_all":
+            mm.release_all()
+            live.clear()
+        else:
+            mm.reset_watermark()
+            peak = sum(live.values())
+        peak = max(peak, sum(live.values()))
+        assert mm.in_use == sum(live.values())
+        assert mm.available == mib(90) - sum(live.values())
+        assert mm.high_watermark == peak

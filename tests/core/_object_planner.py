@@ -7,7 +7,9 @@ time — and exists only so tests can demand bit-identical plans from the
 two. It re-implements exactly the steps where the engines differ:
 
 * group division (:func:`divide_groups`): per-node envelopes by unioning
-  each node's request extents, members by clipping every request;
+  each node's request extents into :class:`NodeAccess` objects, the
+  serial test and the Figure 4 cuts over those objects, members by
+  clipping every request;
 * the partition tree (:func:`build_tree`): recursive bisection that
   clips each vertex's coverage and finds the median by a fresh prefix
   sum per split (:func:`offset_at_rank`), one group at a time, counting
@@ -16,7 +18,7 @@ two. It re-implements exactly the steps where the engines differ:
   request intersected with the leaf's coverage, gathered into the same
   :class:`~repro.core.placement.LeafCandidates` columns.
 
-Everything the engines share — the boundary cut rules, the slot plan,
+Everything the engines share — the interleaved cut rule, the slot plan,
 ``place_group``, ``rebalance`` and ``build_domains`` — is the production
 code itself, so a parity failure points at one of the three steps above.
 """
@@ -24,17 +26,12 @@ code itself, so a parity failure points at one of the three steps above.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import MemoryConsciousConfig
-from repro.core.group_division import (
-    AggregationGroup,
-    _infos_serial,
-    _interleaved_boundaries,
-    _NodeAccess,
-    _serial_boundaries_from,
-)
+from repro.core.group_division import AggregationGroup, _interleaved_boundaries
 from repro.core.partition_tree import PartitionNode, PartitionTree, RankStream
 from repro.core.placement import (
     Assignment,
@@ -56,9 +53,24 @@ from repro.util.validation import check_positive
 # ------------------------------------------------------------ group division
 
 
+@dataclass(frozen=True, slots=True)
+class ObjectGroup(AggregationGroup):
+    """A group that also lists its member ranks (ranks with bytes in it)."""
+
+    member_ranks: tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class NodeAccess:
+    node_id: int
+    start: int
+    end: int
+    nbytes: int
+
+
 def _node_accesses(
     requests: Sequence[AccessRequest], comm: SimComm
-) -> list[_NodeAccess]:
+) -> list[NodeAccess]:
     """Per-node access envelopes, ordered by start offset."""
     by_node: dict[int, list[ExtentList]] = {}
     for req in requests:
@@ -69,9 +81,53 @@ def _node_accesses(
     for node_id, parts in by_node.items():
         cov = ExtentList.union_all(parts)
         env = cov.envelope()
-        infos.append(_NodeAccess(node_id, env.offset, env.end, cov.total))
+        infos.append(NodeAccess(node_id, env.offset, env.end, cov.total))
     infos.sort(key=lambda n: (n.start, n.end))
     return infos
+
+
+def infos_serial(infos: Sequence[NodeAccess], overlap_threshold: float) -> bool:
+    """Serial-distribution test over node envelope objects."""
+    if len(infos) <= 1:
+        return True
+    span_sum = sum(n.end - n.start for n in infos)
+    if span_sum == 0:
+        return True
+    overlap = 0
+    max_end = infos[0].end
+    for node in infos[1:]:
+        overlap += max(0, min(max_end, node.end) - node.start)
+        max_end = max(max_end, node.end)
+    return overlap / span_sum <= overlap_threshold
+
+
+def serial_boundaries_from(
+    infos: Sequence[NodeAccess],
+    config: MemoryConsciousConfig,
+    env: Extent,
+) -> list[int]:
+    """Figure 4's node-aligned cuts over node envelope objects."""
+    boundaries = [env.offset]
+    acc = 0
+    group_end = env.offset
+    i = 0
+    n = len(infos)
+    while i < n:
+        node = infos[i]
+        acc += node.nbytes
+        group_end = max(group_end, node.end)
+        i += 1
+        if acc >= config.msg_group and i < n:
+            while i < n and infos[i].start < group_end:
+                acc += infos[i].nbytes
+                group_end = max(group_end, infos[i].end)
+                i += 1
+            if i < n and group_end > boundaries[-1]:
+                boundaries.append(group_end)
+                acc = 0
+    if boundaries[-1] != env.end:
+        boundaries.append(env.end)
+    return boundaries
 
 
 def detect_serial(
@@ -81,7 +137,7 @@ def detect_serial(
     overlap_threshold: float,
 ) -> bool:
     """True when per-node regions are ordered with little overlap."""
-    return _infos_serial(_node_accesses(requests, comm), overlap_threshold)
+    return infos_serial(_node_accesses(requests, comm), overlap_threshold)
 
 
 def _members(
@@ -103,9 +159,9 @@ def _groups_from_boundaries(
     requests: Sequence[AccessRequest],
     aggregate: ExtentList,
     boundaries: list[int],
-) -> list[AggregationGroup]:
+) -> list[ObjectGroup]:
     """Materialize groups from sorted cut offsets (incl. both ends)."""
-    groups: list[AggregationGroup] = []
+    groups: list[ObjectGroup] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         if hi <= lo:
             raise PartitionError(f"non-monotone group boundaries at {lo}")
@@ -114,7 +170,7 @@ def _groups_from_boundaries(
             continue
         region = Extent(lo, hi - lo)
         groups.append(
-            AggregationGroup(
+            ObjectGroup(
                 group_id=len(groups),
                 region=region,
                 coverage=coverage,
@@ -130,14 +186,14 @@ def _serial_boundaries(
     config: MemoryConsciousConfig,
     env: Extent,
 ) -> list[int]:
-    return _serial_boundaries_from(_node_accesses(requests, comm), config, env)
+    return serial_boundaries_from(_node_accesses(requests, comm), config, env)
 
 
 def divide_groups(
     requests: Sequence[AccessRequest],
     comm: SimComm,
     config: MemoryConsciousConfig,
-) -> list[AggregationGroup]:
+) -> list[ObjectGroup]:
     """Split the workload into aggregation groups per the configured mode."""
     aggregate = ExtentList.union_all([r.extents for r in requests])
     if aggregate.is_empty:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, NetworkModel, scaled_testbed
-from repro.core import MemoryConsciousConfig
+from repro.core import LeafTable, MemoryConsciousConfig, PartitionTree, RankStream
 from repro.core.columnar import _node_infos_flat, divide_groups_flat
 from repro.core.group_division import _infos_serial
 from repro.mpi import AccessRequest, SimComm, flatten_requests
@@ -21,6 +21,29 @@ def make_comm(n_procs=9, procs_per_node=3, n_nodes=3):
 
 def _divide(reqs, comm, config):
     return divide_groups_flat(flatten_requests(reqs), comm, config)[0]
+
+
+def divide_with_members(reqs, comm, config):
+    """The planner's groups plus each one's member ranks, read from the
+    plan's leaf table: the distinct ranks among the entries of the
+    group's leaves. The table's member counts (the plan's group sizes)
+    must agree with them."""
+    flat = flatten_requests(reqs)
+    groups, aggregate = divide_groups_flat(flat, comm, config)
+    if not groups:
+        return groups, []
+    trees = PartitionTree.build_forest(
+        RankStream(aggregate), [g.region for g in groups], config.msg_ind
+    )
+    table = LeafTable(trees, flat, comm)
+    members = [
+        tuple(sorted({
+            rank for leaf in tree.leaves() for rank in table.for_leaf(leaf).ranks.tolist()
+        }))
+        for tree in trees
+    ]
+    assert table.group_sizes == [len(m) for m in members]
+    return groups, members
 
 
 def _is_serial(reqs, comm, *, overlap_threshold):
@@ -70,14 +93,14 @@ class TestFigure4Example:
             mem_min=1,
             buffer_floor=1,
         )
-        groups = _divide(reqs, comm, config)
+        groups, members = divide_with_members(reqs, comm, config)
         # Each node's 3 processes hold 300 B; groups close at node ends.
         assert [g.region.offset for g in groups] == [0, 300, 600]
         assert [g.region.end for g in groups] == [300, 600, 900]
         # Members: exactly one node's ranks per group.
-        assert groups[0].member_ranks == (0, 1, 2)
-        assert groups[1].member_ranks == (3, 4, 5)
-        assert groups[2].member_ranks == (6, 7, 8)
+        assert members[0] == (0, 1, 2)
+        assert members[1] == (3, 4, 5)
+        assert members[2] == (6, 7, 8)
 
 
 class TestGroupInvariants:
@@ -104,9 +127,9 @@ class TestGroupInvariants:
         config = MemoryConsciousConfig(
             msg_group=10, group_mode="off", msg_ind=64, mem_min=1, buffer_floor=1
         )
-        groups = _divide(reqs, comm, config)
+        groups, members = divide_with_members(reqs, comm, config)
         assert len(groups) == 1
-        assert groups[0].member_ranks == tuple(range(9))
+        assert members[0] == tuple(range(9))
 
     def test_interleaved_quantile_cuts(self):
         comm = make_comm()
@@ -156,7 +179,7 @@ class TestGroupInvariants:
             mem_min=1,
             buffer_floor=1,
         )
-        groups = _divide(reqs, comm, config)
+        groups, members = divide_with_members(reqs, comm, config)
         # No node's data may cross a group boundary.
         for req in reqs:
             holders = [
@@ -165,8 +188,8 @@ class TestGroupInvariants:
             ]
             assert len(holders) == 1, f"rank {req.rank} split across groups"
         assert [g.region.end for g in groups] == [550, 900]
-        assert groups[0].member_ranks == (0, 1)
-        assert groups[1].member_ranks == (2,)
+        assert members[0] == (0, 1)
+        assert members[1] == (2,)
 
     def test_empty_requests(self):
         comm = make_comm()
@@ -179,9 +202,9 @@ class TestGroupInvariants:
         config = MemoryConsciousConfig(
             msg_group=450, group_mode="serial", msg_ind=100, mem_min=1, buffer_floor=1
         )
-        groups = _divide(reqs, comm, config)
-        for g in groups:
-            for rank in g.member_ranks:
+        groups, members = divide_with_members(reqs, comm, config)
+        for g, ranks in zip(groups, members):
+            for rank in ranks:
                 assert reqs[rank].extents.clip(
                     g.region.offset, g.region.length
                 ).total > 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +19,7 @@ from repro.core import (
     place_group,
     rebalance,
 )
-from repro.core.placement import Assignment, Slot, build_domains
+from repro.core.placement import Assignment, build_domains
 from repro.io import make_context
 from repro.mpi import AccessRequest, flatten_requests
 from repro.util import ExtentList, kib, mib
@@ -54,9 +54,9 @@ class TestSlotPlan:
         plan = SlotPlan.build(ctx, CFG)
         # 8 MiB / 1 MiB mem_min -> 8, capped at nah=2 -> 2 slots/node.
         for node in ctx.cluster.nodes:
-            assert len(plan.by_node[node.node_id]) == 2
-            for slot in plan.by_node[node.node_id]:
-                assert slot.buffer_bytes == mib(4)
+            assert len(plan.on_nodes([node.node_id])) == 2
+            for slot in plan.on_nodes([node.node_id]):
+                assert plan.buffer[slot] == mib(4)
 
     def test_starved_node_offers_no_slots(self):
         ctx = make_ctx()
@@ -65,24 +65,194 @@ class TestSlotPlan:
             ctx.machine.node.mem_capacity
         )  # node 1: zero available
         plan = SlotPlan.build(ctx, CFG)
-        assert 1 not in plan.by_node
-        assert len(plan.slots) == 6
+        assert plan.on_nodes([1]) == []
+        assert len(plan.buffer) == 6
 
     def test_fully_starved_cluster_degrades_gracefully(self):
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(0)
         plan = SlotPlan.build(ctx, CFG)
-        assert len(plan.slots) == ctx.cluster.n_nodes
-        assert all(s.buffer_bytes == CFG.mem_min for s in plan.slots)
+        assert len(plan.buffer) == ctx.cluster.n_nodes
+        assert all(buffer == CFG.mem_min for buffer in plan.buffer)
 
     def test_best_for_prefers_emptier_bigger_slots(self):
         ctx = make_ctx()
         ctx.cluster.set_uniform_available(mib(8))
         plan = SlotPlan.build(ctx, CFG)
         first = plan.best_for([0, 1], mib(2))
-        first.load += mib(2)
+        plan.load[first] += mib(2)
         second = plan.best_for([0, 1], mib(2))
-        assert second is not first
+        assert second != first
+
+
+@dataclass(slots=True)
+class _RefSlot:
+    """One aggregator slot as an object: the slot plan before the table."""
+
+    slot_id: int
+    node_id: int
+    buffer_bytes: int
+    load: int = 0
+    borrowed_bytes: int = 0
+    borrow_link: int = 0
+    borrow_price_s: float = 0.0
+    local_price_s: float = 0.0
+
+    def projected_rounds(self, extra: int = 0) -> float:
+        return (self.load + extra) / self.buffer_bytes
+
+
+class _RefSlotPlan:
+    """The per-``Slot`` slot plan the table replaced, kept as a reference."""
+
+    def __init__(self, slots):
+        self.slots = slots
+        self.by_node = {}
+        for slot in slots:
+            self.by_node.setdefault(slot.node_id, []).append(slot)
+
+    @classmethod
+    def build(cls, ctx, config):
+        if not config.dynamic_placement:
+            return cls(
+                [
+                    _RefSlot(i, node.node_id, ctx.hints.cb_buffer_size)
+                    for i, node in enumerate(ctx.cluster.nodes)
+                ]
+            )
+        slots = []
+        for node in ctx.cluster.nodes:
+            avail = node.available_memory
+            k = int(min(config.nah, avail // max(config.mem_min, 1)))
+            if k < 1:
+                continue
+            buffer_bytes = int(avail // k)
+            for _ in range(k):
+                slots.append(_RefSlot(len(slots), node.node_id, buffer_bytes))
+        if not slots:
+            for node in ctx.cluster.nodes:
+                slots.append(_RefSlot(len(slots), node.node_id, max(config.mem_min, 1)))
+        return cls(slots)
+
+    def add_slot(self, slot):
+        self.slots.append(slot)
+        self.by_node.setdefault(slot.node_id, []).append(slot)
+
+    def borrowers_on_link(self, link):
+        return sum(
+            1 for s in self.slots if s.borrowed_bytes > 0 and s.borrow_link == link
+        )
+
+    def best_for(self, node_ids, covered):
+        best = None
+        best_key = None
+        for node_id in node_ids:
+            for slot in self.by_node.get(node_id, ()):
+                key = (slot.projected_rounds(covered), -slot.buffer_bytes)
+                if best_key is None or key < best_key:
+                    best, best_key = slot, key
+        return best
+
+    def best_anywhere(self, covered):
+        return self.best_for(self.by_node.keys(), covered)
+
+
+_SLOT_NODES = 6
+
+
+@st.composite
+def _availability(draw):
+    """Per-node available memory (starved, oversubscribed and rich nodes)
+    and a slot-plan config."""
+    unit = mib(1)
+    avail = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, -2 * unit, unit - 1]),  # starved
+                st.integers(-3 * unit, unit - 1),  # maybe oversubscribed
+                st.sampled_from([unit, 2 * unit, 4 * unit, 8 * unit]),  # ties
+                st.integers(unit, 40 * unit),
+            ),
+            min_size=_SLOT_NODES,
+            max_size=_SLOT_NODES,
+        )
+    )
+    cfg = CFG.replace(
+        nah=draw(st.integers(1, 8)),
+        mem_min=draw(st.sampled_from([unit, 3 * unit, 5 * unit + 7])),
+        dynamic_placement=draw(st.booleans()),
+    )
+    return avail, cfg
+
+
+def _set_available(ctx, avail):
+    cap = ctx.machine.node.mem_capacity
+    for node, value in zip(ctx.cluster.nodes, avail):
+        node.memory.set_reserved(cap - max(value, 0))
+        if value < 0:
+            node.memory.allocate("pressure", -value, allow_oversubscribe=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    case=_availability(),
+    borrows=st.lists(
+        st.tuples(
+            st.integers(0, _SLOT_NODES - 1),
+            st.one_of(st.sampled_from([mib(1), mib(2), mib(4)]), st.integers(1, mib(4))),
+            st.integers(0, 2),
+        ),
+        max_size=4,
+    ),
+    # Few distinct loads and sizes, so projected rounds often tie.
+    loads=st.lists(
+        st.one_of(st.sampled_from([0, mib(1), mib(4)]), st.integers(0, mib(64))),
+        max_size=60,
+    ),
+    queries=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, _SLOT_NODES - 1), max_size=4, unique=True),
+            st.one_of(st.sampled_from([0, mib(1), mib(2)]), st.integers(0, mib(8))),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(case=([0] * _SLOT_NODES, CFG), borrows=[], loads=[], queries=[([0, 1], 0)])
+# Node 0's one initial slot ties an appended slot on node 0 itself, and
+# two appended slots on slotless nodes 3 and 2 tie each other.
+@example(
+    case=([mib(4)] + [0] * (_SLOT_NODES - 1), CFG.replace(nah=1)),
+    borrows=[(0, mib(4), 0), (3, mib(2), 1), (2, mib(2), 2)],
+    loads=[mib(4), mib(4)],
+    queries=[([0], 0), ([2, 3, 0], mib(2))],
+)
+def test_slot_table_matches_per_slot_objects(case, borrows, loads, queries):
+    """The slot table builds the same (node, buffer) slots as the
+    per-``Slot`` plan, and picks the same slot for any hosts and loads,
+    appended borrow slots included."""
+    avail, cfg = case
+    ctx = make_ctx(n_nodes=_SLOT_NODES)
+    _set_available(ctx, avail)
+    plan = SlotPlan.build(ctx, cfg)
+    ref = _RefSlotPlan.build(ctx, cfg)
+    assert list(zip(plan.node, plan.buffer)) == [
+        (s.node_id, s.buffer_bytes) for s in ref.slots
+    ]
+    for k, (node, buffer, link) in enumerate(borrows):
+        borrow = (buffer // 2 + 1, link, 0.5 + k, 1.5 + k)
+        slot = plan.add_borrow_slot(node, buffer, borrow)
+        ref.add_slot(_RefSlot(len(ref.slots), node, buffer, 0, *borrow))
+        assert slot == len(ref.slots) - 1
+        assert plan.borrows[slot] == borrow
+    for link in range(3):
+        assert plan.borrowers_on_link(link) == ref.borrowers_on_link(link)
+    for slot, load in zip(range(len(ref.slots)), loads):
+        plan.load[slot] = ref.slots[slot].load = load
+    for hosts, covered in queries:
+        want = ref.best_for(hosts, covered)
+        assert plan.best_for(hosts, covered) == (None if want is None else want.slot_id)
+        assert plan.best_anywhere(covered) == ref.best_anywhere(covered).slot_id
 
 
 def _place_all(ctx, reqs, cfg):
@@ -127,10 +297,8 @@ class TestPlaceGroup:
         ctx.cluster.set_uniform_available(mib(8))
         reqs = serial_requests(8, mib(2))
         plan, assts, _, _ = self._plan_one(ctx, reqs, CFG)
-        slot_by_id = {s.slot_id: s for s in plan.slots}
         for a in assts:
-            node = slot_by_id[a.slot_id].node_id
-            assert node in a.candidates.hosts  # locality preserved
+            assert plan.node[a.slot_id] in a.candidates.hosts  # locality preserved
 
     def test_starved_host_triggers_remerge(self):
         ctx = make_ctx()
@@ -140,9 +308,8 @@ class TestPlaceGroup:
         reqs = serial_requests(8, mib(2))
         plan, assts, stats, tree = self._plan_one(ctx, reqs, CFG)
         assert stats.n_remerges > 0
-        slot_by_id = {s.slot_id: s for s in plan.slots}
         for a in assts:
-            assert slot_by_id[a.slot_id].node_id != 1
+            assert plan.node[a.slot_id] != 1
         # still complete coverage
         union = ExtentList.union_all(_coverages(tree, assts))
         assert union.total == 8 * mib(2)
@@ -165,7 +332,7 @@ class TestPlaceGroup:
         ctx.cluster.nodes[1].memory.set_reserved(ctx.machine.node.mem_capacity)
         plan, assts, stats, _ = self._plan_one(ctx, serial_requests(8, mib(2)), CFG)
         assert stats.n_remerges > 0
-        assert sum(s.load for s in plan.slots) == sum(a.nbytes for a in assts)
+        assert sum(plan.load) == sum(a.nbytes for a in assts)
 
     def test_dynamic_placement_picks_data_affine_rank(self):
         ctx = make_ctx()
@@ -287,7 +454,7 @@ class TestRebalance:
                     candidates=leaf_candidates((n, n, 1) for n in every_node),
                 )
             )
-            plan.slots[0].load += mib(2)
+            plan.load[0] += mib(2)
         before = plan.max_rounds()
         out, moves = rebalance(plan, assts)
         assert moves > 0
@@ -300,14 +467,14 @@ class TestRebalance:
         ctx.cluster.set_uniform_available(mib(8))
         plan = SlotPlan.build(ctx, CFG)
         assts = []
-        for i, slot in enumerate(plan.slots):
+        for slot, node in enumerate(plan.node):
             assts.append(
                 Assignment(
-                    slot.slot_id, i * mib(4), (i + 1) * mib(4), 0,
-                    leaf_candidates([(0, slot.node_id, 1)]),
+                    slot, slot * mib(4), (slot + 1) * mib(4), 0,
+                    leaf_candidates([(0, node, 1)]),
                 )
             )
-            slot.load += mib(4)
+            plan.load[slot] += mib(4)
         _, moves = rebalance(plan, assts)
         assert moves == 0
 
@@ -388,12 +555,18 @@ _sizes = st.one_of(
 
 @st.composite
 def _slot_plans(draw):
-    """Slots on a few nodes (some nodes slotless) and assignments on them."""
+    """Slots on a few nodes (some nodes slotless) and assignments on them.
+
+    The first slots are each node's initial range, node by node; the
+    rest are appended in any node order, as borrow-backed slots are.
+    """
     n_nodes = draw(st.integers(1, 4))
     slots = [
         (draw(st.integers(0, n_nodes - 1)), draw(_buffers), draw(st.sampled_from([0, 0, 1, _GIB])))
         for _ in range(draw(st.integers(1, 10)))
     ]
+    n_initial = draw(st.integers(1, len(slots)))
+    slots[:n_initial] = sorted(slots[:n_initial], key=lambda slot: slot[0])
     assignments = []
     for _ in range(draw(st.integers(1, 12))):
         hosts = draw(st.lists(st.integers(0, n_nodes + 1), max_size=3, unique=True))
@@ -401,13 +574,25 @@ def _slot_plans(draw):
             (draw(st.integers(0, len(slots) - 1)), draw(_sizes), tuple(hosts))
         )
     max_moves = draw(st.one_of(st.none(), st.integers(0, 4)))
-    return slots, assignments, max_moves
+    return (n_nodes, n_initial, slots), assignments, max_moves
 
 
-def _build(slots, assignments):
-    plan = SlotPlan(
-        [Slot(i, node, buffer, load=extra) for i, (node, buffer, extra) in enumerate(slots)]
+def _build(slot_case, assignments):
+    n_nodes, n_initial, slots = slot_case
+    counts = [0] * (n_nodes + 2)  # hosts may name slotless nodes up to n_nodes + 1
+    for node, _, _ in slots[:n_initial]:
+        counts[node] += 1
+    plan = SlotPlan(counts, [buffer for _, buffer, _ in slots[:n_initial]])
+    for node, buffer, _ in slots[n_initial:]:
+        plan.add_borrow_slot(node, buffer, (1, 0, 0.0, 0.0))
+    plan.load[:] = [extra for _, _, extra in slots]
+    ref = _RefSlotPlan(
+        [_RefSlot(i, node, buffer, load=extra) for i, (node, buffer, extra) in enumerate(slots)]
     )
+    return plan, ref, _assignments(assignments, plan.load, ref)
+
+
+def _assignments(assignments, load, ref):
     out = []
     for k, (slot_id, nbytes, hosts) in enumerate(assignments):
         out.append(
@@ -419,13 +604,14 @@ def _build(slots, assignments):
                 leaf_candidates((k, n, 1) for k, n in enumerate(hosts)),
             )
         )
-        plan.slots[slot_id].load += nbytes
-    return plan, out
+        load[slot_id] += nbytes
+        ref.slots[slot_id].load += nbytes
+    return out
 
 
 #: Two targets whose ``new_max`` differ by less than ``eps`` (1.0 and
 #: 0.9999999995): the scan keeps the first, on a local host and remotely.
-_EPS_TIE = [(0, _GIB, 0), (1, 2 * _GIB, 0), (1, 2 * _GIB + 1, 0)]
+_EPS_TIE = (2, 3, [(0, _GIB, 0), (1, 2 * _GIB, 0), (1, 2 * _GIB + 1, 0)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,13 +620,12 @@ _EPS_TIE = [(0, _GIB, 0), (1, 2 * _GIB, 0), (1, 2 * _GIB + 1, 0)]
 @example(case=(_EPS_TIE, [(0, 2 * _GIB, ())], None))
 def test_rebalance_matches_the_per_move_scan(case):
     slots, assignments, max_moves = case
-    plan, assts = _build(slots, assignments)
-    ref_plan, ref_assts = _build(slots, assignments)
+    plan, ref_plan, assts = _build(slots, assignments)
     out, moves = rebalance(plan, assts, max_moves=max_moves)
-    ref_out, ref_moves = _reference_rebalance(ref_plan, ref_assts, max_moves=max_moves)
+    ref_out, ref_moves = _reference_rebalance(ref_plan, list(assts), max_moves=max_moves)
     assert moves == ref_moves
     assert [a.slot_id for a in out] == [a.slot_id for a in ref_out]
-    assert [s.load for s in plan.slots] == [s.load for s in ref_plan.slots]
+    assert plan.load == [s.load for s in ref_plan.slots]
 
 
 class TestBuildDomains:
@@ -453,7 +638,7 @@ class TestBuildDomains:
         stream = RankStream(ExtentList.from_pairs([(0, 100), (200, 100)]))
         a1 = Assignment(0, 0, 100, 0, leaf_candidates([(0, 0, 100)]))
         a2 = Assignment(0, 100, 200, 1, leaf_candidates([(0, 0, 100)]))
-        plan.slots[0].load += 200
+        plan.load[0] += 200
         domains = build_domains(plan, [a1, a2], stream, ctx, CFG)
         assert len(domains) == 1
         assert domains[0].group_id == -1  # multi-group slot

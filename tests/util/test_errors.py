@@ -15,7 +15,6 @@ from repro.util import (
     PartitionError,
     PlacementError,
     ReproError,
-    ResourceError,
     SimulationError,
     StripingError,
     WorkloadError,
@@ -24,7 +23,6 @@ from repro.util import (
 ALL_ERRORS = [
     ConfigurationError,
     SimulationError,
-    ResourceError,
     FileSystemError,
     StripingError,
     DatatypeError,
@@ -60,5 +58,4 @@ def test_specialization_chains():
     assert issubclass(PartitionError, CollectiveIOError)
     assert issubclass(PlacementError, CollectiveIOError)
     assert issubclass(MemoryPressureError, CollectiveIOError)
-    assert issubclass(ResourceError, SimulationError)
     assert issubclass(StripingError, FileSystemError)
